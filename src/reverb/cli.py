@@ -46,8 +46,9 @@ from .errors import (
     TrainingError,
 )
 from .model import ModelConfig, ReverbPredictor
+from .nn.checkpoint import atomic_write
 from .nn.gradcheck import grad_check
-from .train import load_model, run_training, _atomic_write_text
+from .train import load_model, run_training
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -184,7 +185,7 @@ def cmd_train(args) -> int:
     out_dir = resolve_output_dir(cfg, args.out_dir)
     samples = _samples_from_manifest(cfg, cfg.train_split, args.window_stride)
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write_text(os.path.join(out_dir, "config.ini"), dump_config(cfg))
+    atomic_write(os.path.join(out_dir, "config.ini"), dump_config(cfg))
     progress = None if args.quiet else (
         lambda s: print(f"epoch {s.epoch}: loss {s.mean_loss:.6f}")
     )
@@ -269,7 +270,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     os.makedirs(out_dir, exist_ok=True)
     path = args.report or os.path.join(out_dir, "eval.json")
-    _atomic_write_text(path, text + "\n")
+    atomic_write(path, text + "\n")
     print(text)
     return EXIT_OK
 
@@ -357,7 +358,7 @@ def cmd_ablate(args) -> int:
         lines.append(",".join(list(row[:2]) + [f"{x:.17g}" for x in row[2:]]))
     os.makedirs(out_dir, exist_ok=True)
     path = args.csv or os.path.join(out_dir, "ablation.csv")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -394,9 +395,9 @@ def cmd_synth(args) -> int:
         write_scene(os.path.join(out_dir, rel), scene)
         tag = "test" if i >= len(scenes) - n_test else "train"
         manifest.append(f"{tag} {rel}")
-    _atomic_write_text(os.path.join(out_dir, "manifest.txt"),
+    atomic_write(os.path.join(out_dir, "manifest.txt"),
                        "\n".join(manifest) + "\n")
-    _atomic_write_text(
+    atomic_write(
         os.path.join(out_dir, "labels.json"),
         json.dumps(
             {"seed": spec.seed, "spec": dataclasses.asdict(spec), "labels": labels},

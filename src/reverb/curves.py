@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ShapeError
+from .nn.checkpoint import atomic_write
 
 
 @dataclass
@@ -214,5 +215,4 @@ def write_curves_csv(path, curves, config_hash: str = "", seed=None):
             lines.append(
                 f"{c.kind},{c.agent},{part},{gen},{c.t_p},{t},{v:.17g},{int(dg)}"
             )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .nn.checkpoint import atomic_write
 from .transforms import TimeSeq
 
 
@@ -98,6 +99,11 @@ def load_scene(path, fmt: str = "tsv", dt: float = 0.4, scene_id: str | None = N
                         f"column {col}: {token!r} is not a number",
                         path=path, line=line_no,
                     ) from None
+                if not math.isfinite(numbers[-1]):
+                    raise ParseError(
+                        f"column {col}: {token!r} is not finite",
+                        path=path, line=line_no,
+                    )
             frame, x, y = numbers
             agent = parts[1]
             if (agent, frame) in seen:
@@ -127,8 +133,7 @@ def write_scene(path, scene: Scene):
         for frame, (x, y) in zip(t.frames, t.xy):
             lines.append(f"{_num(frame)} {t.agent_id} {_num(x)} {_num(y)}")
     lines.sort(key=lambda s: (float(s.split()[0]), s.split()[1]))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _num(v: float) -> str:

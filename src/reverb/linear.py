@@ -23,9 +23,9 @@ _MAX_CONDITION = 1e12
 class LinearFit:
     """Least-squares affine motion model.
 
-    ``w_lin`` has shape (2, m): row 0 intercepts, row 1 slopes per step.
-    ``fitted`` (t_h, m) and ``predicted`` (t_f, m) both lie exactly on
-    the affine model.
+    ``w_lin`` has shape (..., 2, m): row 0 intercepts, row 1 slopes per
+    step.  ``fitted`` (..., t_h, m) and ``predicted`` (..., t_f, m) both
+    lie exactly on the affine model.  Leading axes follow the input.
     """
 
     w_lin: np.ndarray
@@ -40,17 +40,21 @@ def _design(start: int, steps: int) -> np.ndarray:
 
 def _values(x) -> np.ndarray:
     v = x.values if isinstance(x, TimeSeq) else np.asarray(x, dtype=np.float64)
-    if v.ndim != 2:
-        raise ShapeError(f"expected a (t, m) array, got shape {v.shape}")
+    if v.ndim < 2:
+        raise ShapeError(f"expected a (..., t, m) array, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise DomainError("sequence contains NaN or infinite values")
     return v
 
 
 def linear_fit(x, t_f: int) -> LinearFit:
-    """Fit ``x`` (a TimeSeq or (t_h, m) array) and extrapolate t_f steps."""
+    """Fit ``x`` (a TimeSeq or (..., t_h, m) array) and extrapolate t_f steps.
+
+    A stack is fitted sequence by sequence; each one gets exactly the
+    values a lone ``(t_h, m)`` call would give it.
+    """
     values = _values(x)
-    t_h = values.shape[0]
+    t_h = values.shape[-2]
     if t_h < 2:
         raise InsufficientDataError(f"linear fit needs at least 2 steps, got {t_h}")
     if t_f < 1:

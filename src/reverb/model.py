@@ -15,6 +15,13 @@ the ego's own history (rows = T_h spectrum rows); the social branch
 works on angle-partitioned neighbor features (rows = N_theta * T_h,
 bucket-major).
 
+There is one path from samples to forecast, and it is batched:
+``encode`` stacks every ego and neighbor window of a batch and runs the
+linear fit, the transforms and the partitioning once on the stack;
+``forward`` runs both branches on the whole batch and reports each
+branch's kernels and delta in its ``info`` dict.  A single sample is a
+batch of one.
+
 Branch and kernel toggles reproduce the ablation grid.  A disabled
 branch contributes an exact zero delta (shapes stay fixed, and no
 gradient flows into its parameters).  A disabled R kernel becomes a
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .data import Sample, preprocess
+from .data import preprocess
 from .errors import ConfigError, ShapeError
 from .kernels import ReverbKernelPair
 from .linear import linear_fit
@@ -182,14 +189,6 @@ class PredictionBatch:
     start_frame: float
 
 
-def superpose(y_lin: np.ndarray, *deltas: np.ndarray) -> np.ndarray:
-    """Broadcast the base over generations and add the deltas."""
-    out = np.asarray(y_lin, dtype=np.float64)[None, :, :].copy()
-    for d in deltas:
-        out = out + np.asarray(d, dtype=np.float64)
-    return out
-
-
 def best_of_k_loss(values: np.ndarray, gt: np.ndarray) -> float:
     """Minimum over generations of the mean per-step distance.
 
@@ -256,62 +255,48 @@ class ReverbPredictor:
     # Encoding (numpy side)
 
     def encode(self, samples) -> EncodedBatch:
+        """Preprocess samples and encode them as one stack of agent windows."""
         c = self.config
-        prepped, spec_x, spec_lin, spec_res, y_lin, gt, offsets = [], [], [], [], [], [], []
-        own_spec, own_sample, pair_ego, pair_nbr, pair_sample, pair_rows = [], [], [], [], [], []
-        for b, raw in enumerate(samples):
-            s = preprocess(raw)
-            ego = s.ego.values
-            if ego.shape != (c.t_h, c.m):
+        prepped = [preprocess(raw) for raw in samples]
+        for b, s in enumerate(prepped):
+            if s.ego.values.shape != (c.t_h, c.m):
                 raise ShapeError(
-                    f"sample {b}: ego window {ego.shape}, expected {(c.t_h, c.m)}"
+                    f"sample {b}: ego window {s.ego.values.shape}, expected {(c.t_h, c.m)}"
                 )
             if s.gt.values.shape != (c.t_f, c.m):
                 raise ShapeError(
                     f"sample {b}: gt window {s.gt.values.shape}, expected {(c.t_f, c.m)}"
                 )
-            fit = linear_fit(ego, c.t_f)
-            prepped.append(s)
-            spec_x.append(transforms.forward_values(ego, c.transform))
-            spec_lin.append(transforms.forward_values(fit.fitted, c.transform))
-            spec_res.append(transforms.forward_values(ego - fit.fitted, c.transform))
-            y_lin.append(fit.predicted)
-            gt.append(s.gt.values)
-            offsets.append(s.offset)
-            if c.use_soc:
-                ego_row = len(own_spec)
-                own_spec.append(self.social.own_spectrum(ego))
-                own_sample.append(b)
-                for nbr in s.neighbors:
-                    if nbr.values.shape != (c.t_h, c.m):
-                        raise ShapeError(
-                            f"sample {b}: neighbor window {nbr.values.shape}, "
-                            f"expected {(c.t_h, c.m)}"
-                        )
-                    pair_ego.append(ego_row)
-                    pair_nbr.append(len(own_spec))
-                    pair_sample.append(b)
-                    pair_rows.append(self.social.row_partitions(ego, nbr.values))
-                    own_spec.append(self.social.own_spectrum(nbr.values))
-                    own_sample.append(b)
+            for nbr in s.neighbors if c.use_soc else ():
+                if nbr.values.shape != (c.t_h, c.m):
+                    raise ShapeError(
+                        f"sample {b}: neighbor window {nbr.values.shape}, "
+                        f"expected {(c.t_h, c.m)}"
+                    )
+        ego = np.stack([s.ego.values for s in prepped])
+        fit = linear_fit(ego, c.t_f)
         batch = EncodedBatch(
             samples=prepped,
-            spec_x=np.stack(spec_x),
-            spec_lin=np.stack(spec_lin),
-            spec_res=np.stack(spec_res),
-            y_lin=np.stack(y_lin),
-            gt=np.stack(gt),
-            offsets=np.stack(offsets),
+            spec_x=transforms.forward_values(ego, c.transform),
+            spec_lin=transforms.forward_values(fit.fitted, c.transform),
+            spec_res=transforms.forward_values(ego - fit.fitted, c.transform),
+            y_lin=fit.predicted,
+            gt=np.stack([s.gt.values for s in prepped]),
+            offsets=np.stack([s.offset for s in prepped]),
         )
         if c.use_soc:
-            batch.own_spec = np.stack(own_spec)
-            batch.own_sample = np.array(own_sample, dtype=np.int64)
-            batch.pair_ego = np.array(pair_ego, dtype=np.int64)
-            batch.pair_nbr = np.array(pair_nbr, dtype=np.int64)
-            batch.pair_sample = np.array(pair_sample, dtype=np.int64)
-            batch.pair_rows = (
-                np.stack(pair_rows) if pair_rows
-                else np.zeros((0, c.hist_rows), dtype=np.int64)
+            agents = np.stack([v.values for s in prepped for v in (s.ego, *s.neighbors)])
+            per_sample = np.array([1 + len(s.neighbors) for s in prepped], dtype=np.int64)
+            ego_row = np.cumsum(per_sample) - per_sample
+            batch.own_sample = np.repeat(np.arange(len(prepped), dtype=np.int64), per_sample)
+            batch.pair_nbr = np.flatnonzero(
+                np.arange(len(agents)) != ego_row[batch.own_sample]
+            )
+            batch.pair_sample = batch.own_sample[batch.pair_nbr]
+            batch.pair_ego = ego_row[batch.pair_sample]
+            batch.own_spec = self.social.own_spectrum(agents)
+            batch.pair_rows = self.social.row_partitions(
+                agents[batch.pair_ego], agents[batch.pair_nbr]
             )
         return batch
 
@@ -406,23 +391,24 @@ class ReverbPredictor:
     def forward(self, batch: EncodedBatch, noise: dict):
         """Returns (predictions (B, K_g, t_f, m) in the ego frame, info).
 
-        ``info`` holds the kernel tensors actually used per enabled
-        branch (None for disabled branches).
+        ``info`` holds, per branch, the kernel tensors actually used
+        (``r_*``, ``g_*``) and the branch's delta (``delta_*``, shape
+        (B, K_g, t_f, m)); all are None for a disabled branch.
         """
         c = self.config
         parts = []
         if c.use_linear:
             parts.append(T.Tensor(batch.y_lin[:, None, :, :]))
-        info = {"r_non": None, "g_non": None, "r_soc": None, "g_soc": None}
+        info = dict.fromkeys(("r_non", "g_non", "delta_non", "r_soc", "g_soc", "delta_soc"))
         e_non = self._e_non(batch) if (c.use_non or c.use_soc) else None
         if c.use_non:
             delta, r, g = self._branch_non(batch, e_non, noise["non"])
             parts.append(delta)
-            info["r_non"], info["g_non"] = r, g
+            info["r_non"], info["g_non"], info["delta_non"] = r, g, delta
         if c.use_soc:
             delta, r, g = self._branch_soc(batch, e_non, noise["soc"])
             parts.append(delta)
-            info["r_soc"], info["g_soc"] = r, g
+            info["r_soc"], info["g_soc"], info["delta_soc"] = r, g, delta
         pred = parts[0]
         for p in parts[1:]:
             pred = pred + p
@@ -472,31 +458,3 @@ class ReverbPredictor:
         r_b = r.data[b] if r.data.shape[0] > 1 else r.data[0]
         g_b = g.data[b] if g.data.shape[0] > 1 else g.data[0]
         return ReverbKernelPair(r=np.array(r_b), g=np.array(g_b))
-
-    def encode_non(self, sample: Sample) -> np.ndarray:
-        """Half-difference embedding of one sample, (T_h, d)."""
-        batch = self.encode([sample])
-        with T.no_grad():
-            e = self._e_non(batch)
-        return e.data[0]
-
-    def forward_non(self, sample: Sample, noise: dict | None = None):
-        """Single-sample non-interactive delta, ((K_g, t_f, m), kernels)."""
-        return self._forward_single(sample, noise, "non")
-
-    def forward_soc(self, sample: Sample, noise: dict | None = None):
-        """Single-sample social delta, ((K_g, t_f, m), kernels)."""
-        return self._forward_single(sample, noise, "soc")
-
-    def _forward_single(self, sample: Sample, noise: dict | None, branch: str):
-        if not getattr(self.config, f"use_{branch}"):
-            raise ConfigError(f"branch {branch!r} is disabled in this model")
-        if noise is None:
-            noise = self.zero_noise()
-        batch = self.encode([sample])
-        with T.no_grad():
-            e_non = self._e_non(batch)
-            fn = self._branch_non if branch == "non" else self._branch_soc
-            delta, r, g = fn(batch, e_non, noise[branch])
-        info = {f"r_{branch}": r, f"g_{branch}": g}
-        return np.array(delta.data[0]), self._pair(info, branch, 0)

@@ -11,11 +11,13 @@ Byte-exact layout (all text lines ASCII, LF-terminated):
 
 Values are stored as little-endian float32 (training state is float64,
 so saving is lossy at the 7th significant digit).  Writes go to a
-temporary file in the target directory followed by an atomic rename.
+temporary file in the target directory followed by an atomic rename
+(:func:`atomic_write`, which every file writer in the package uses).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -23,6 +25,25 @@ import numpy as np
 from ..errors import ParseError
 
 MAGIC = "REVERB-CKPT 1"
+
+
+def atomic_write(path, data):
+    """Write ``data`` (str as UTF-8, or bytes) via ``<path>.tmp.<pid>`` and
+    a rename, so ``path`` is old or new, never partial.  On failure the
+    temporary file is removed and ``path`` is left as it was."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def save(path, arrays: dict, meta: dict | None = None):
@@ -48,13 +69,7 @@ def save(path, arrays: dict, meta: dict | None = None):
         blobs.append(raw)
         offset += len(raw)
     lines.append(f"blob {offset}")
-    payload = ("\n".join(lines) + "\n").encode("ascii") + b"".join(blobs)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(payload)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, ("\n".join(lines) + "\n").encode("ascii") + b"".join(blobs))
 
 
 def load(path):
@@ -74,16 +89,18 @@ def load(path):
                 raise ParseError("truncated manifest", path=path, line=line_no)
             text = line.decode("ascii", errors="replace").rstrip("\n")
             if text.startswith("meta "):
-                _, key, value = text.split(" ", 2)
-                meta[key] = value
+                parts = text.split(" ", 2)
+                if len(parts) != 3:
+                    raise ParseError(f"bad meta line {text!r}", path=path, line=line_no)
+                meta[parts[1]] = parts[2]
             elif text.startswith("tensor "):
                 parts = text.split(" ")
                 if len(parts) != 5 or parts[2] != "float32":
                     raise ParseError(f"bad tensor line {text!r}", path=path, line=line_no)
-                shape = tuple(int(d) for d in parts[3].split(","))
-                entries.append((parts[1], shape, int(parts[4])))
+                shape = tuple(_count(d, "shape", path, line_no) for d in parts[3].split(","))
+                entries.append((parts[1], shape, _count(parts[4], "offset", path, line_no)))
             elif text.startswith("blob "):
-                blob_size = int(text.split(" ")[1])
+                blob_size = _count(text[len("blob "):], "blob size", path, line_no)
                 break
             else:
                 raise ParseError(f"unexpected line {text!r}", path=path, line=line_no)
@@ -101,3 +118,11 @@ def load(path):
         flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         arrays[name] = flat.reshape(shape).astype(np.float64)
     return arrays, meta
+
+
+def _count(token: str, what: str, path, line_no: int) -> int:
+    """A non-negative integer manifest field, or ParseError."""
+    if not token.isdigit():
+        raise ParseError(f"{what} field {token!r} is not a non-negative integer",
+                         path=path, line=line_no)
+    return int(token)

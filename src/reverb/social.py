@@ -9,70 +9,37 @@ empty buckets stay exactly zero.
 The encoder embeds each agent's own-frame spectrum (sequence translated
 so its own last observed point is the origin), forms elementwise
 products of ego and neighbor embeddings, runs those through a second
-embedding, and averages per bucket.  ``flatten_rows`` fixes the row
-order used by the downstream kernels: bucket-major, flat row
-``n * T_h + t``.
+embedding, and averages per bucket.  The numpy side works on stacks:
+``own_spectrum`` and ``row_partitions`` take every agent (or every
+ego/neighbor pair) of a batch in one call.  The pooling itself lives in
+``ReverbPredictor._social_rows``, which lays the result out
+bucket-major: flat row ``n * T_h + t``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .nn import tensor as T
+from .errors import ConfigError
 from .nn.layers import MLP, ParameterStore
 from .transforms import forward_values, spectrum_shape
-
-
-def bearing(origin, point) -> float:
-    """Angle of ``point - origin`` wrapped to [0, 2*pi)."""
-    d = np.asarray(point, dtype=np.float64) - np.asarray(origin, dtype=np.float64)
-    return float(np.arctan2(d[1], d[0]) % (2.0 * np.pi))
-
-
-def assign_partition(ego_xy, neighbor_xy, n_theta: int) -> int:
-    """Bucket index for one neighbor, using the final observed points.
-
-    Accepts either single points (2,) or full observation windows
-    (t, 2), in which case the last rows are compared.  A neighbor
-    coincident with the ego has no bearing and falls in bucket 0.
-    """
-    ego_xy = np.asarray(ego_xy, dtype=np.float64)
-    nbr_xy = np.asarray(neighbor_xy, dtype=np.float64)
-    ego_pt = ego_xy if ego_xy.ndim == 1 else ego_xy[-1]
-    nbr_pt = nbr_xy if nbr_xy.ndim == 1 else nbr_xy[-1]
-    idx, _ = _bucket(ego_pt[None, :], nbr_pt[None, :], n_theta)
-    return int(idx[0])
 
 
 def assign_partitions(ego_pts: np.ndarray, nbr_pts: np.ndarray, n_theta: int):
     """Vectorized bucketing; returns (indices, degenerate_mask).
 
-    ``ego_pts`` and ``nbr_pts`` are (n, 2) and are compared row by row.
-    Degenerate rows (zero displacement) get bucket 0 and a True flag.
+    ``ego_pts`` and ``nbr_pts`` are (..., 2) and are compared point by
+    point.  Degenerate points (zero displacement) get bucket 0 and a
+    True flag.
     """
-    return _bucket(np.asarray(ego_pts, float), np.asarray(nbr_pts, float), n_theta)
-
-
-def _bucket(ego_pts, nbr_pts, n_theta):
     if n_theta < 1:
         raise ConfigError(f"need at least one partition, got {n_theta}")
-    d = nbr_pts - ego_pts
-    degenerate = (d[:, 0] == 0.0) & (d[:, 1] == 0.0)
-    theta = np.arctan2(d[:, 1], d[:, 0]) % (2.0 * np.pi)
+    d = np.asarray(nbr_pts, float) - np.asarray(ego_pts, float)
+    degenerate = (d[..., 0] == 0.0) & (d[..., 1] == 0.0)
+    theta = np.arctan2(d[..., 1], d[..., 0]) % (2.0 * np.pi)
     idx = np.floor(theta * n_theta / (2.0 * np.pi)).astype(np.int64)
-    # Guard the theta == 2*pi float edge and the degenerate rows.
-    idx = np.clip(idx, 0, n_theta - 1)
-    idx[degenerate] = 0
-    return idx, degenerate
-
-
-def flatten_rows(values: T.Tensor) -> T.Tensor:
-    """(T_h, N, d) -> (N*T_h, d), bucket-major: flat row = n*T_h + t."""
-    if values.data.ndim != 3:
-        raise ShapeError(f"expected (T_h, N, d), got {values.data.shape}")
-    t_h, n, d = values.data.shape
-    return T.reshape(T.transpose(values, (1, 0, 2)), (n * t_h, d))
+    # Guard the theta == 2*pi float edge and the degenerate points.
+    return np.where(degenerate, 0, np.clip(idx, 0, n_theta - 1)), degenerate
 
 
 class SocialEncoder:
@@ -92,73 +59,30 @@ class SocialEncoder:
                 "kind 'dft' has none"
             )
         self.kind = kind
-        self.t_h = t_h
-        self.m = m
         self.n_theta = n_theta
-        self.d = d
         self.per_step = per_step
-        self.rows, _ = spectrum_shape(kind, t_h, m)
-        self.embed_own = MLP(store, f"{name}.own", [_spec_cols(kind, t_h, m), d, d], "tanh")
+        self.rows, cols = spectrum_shape(kind, t_h, m)
+        self.embed_own = MLP(store, f"{name}.own", [cols, d, d], "tanh")
         self.embed_pair = MLP(store, f"{name}.pair", [d, d, d], "tanh")
 
     def own_spectrum(self, values: np.ndarray) -> np.ndarray:
-        """Spectrum of the sequence translated to its own last point."""
+        """Spectra of (..., t_h, m) sequences, each translated to its own
+        last point."""
         values = np.asarray(values, dtype=np.float64)
-        return forward_values(values - values[-1], self.kind)
-
-    def embed_agent(self, values: np.ndarray) -> T.Tensor:
-        """(t_h, m) world or ego-frame sequence -> (T_h, d) embedding."""
-        return self.embed_own(T.Tensor(self.own_spectrum(values)))
-
-    def pair_feature(self, e_ego: T.Tensor, e_nbr: T.Tensor) -> T.Tensor:
-        return self.embed_pair(e_ego * e_nbr)
+        return forward_values(values - values[..., -1:, :], self.kind)
 
     def row_partitions(self, ego_xy: np.ndarray, nbr_xy: np.ndarray) -> np.ndarray:
-        """Bucket index per spectrum row, shape (T_h,).
+        """Bucket index per spectrum row: (..., t_h, 2) pairs -> (..., T_h).
 
         Static mode repeats the final-frame bucket; per-step mode
         re-buckets at the last raw frame covered by each spectrum row.
         """
         if not self.per_step:
-            return np.full(self.rows, assign_partition(ego_xy, nbr_xy, self.n_theta),
-                           dtype=np.int64)
-        frames = _row_anchor_frames(self.kind, self.t_h, self.rows)
-        idx, _ = assign_partitions(ego_xy[frames], nbr_xy[frames], self.n_theta)
+            idx, _ = assign_partitions(ego_xy[..., -1, :], nbr_xy[..., -1, :], self.n_theta)
+            return np.repeat(idx[..., None], self.rows, axis=-1)
+        # Last raw frame covered by each row; paired kinds halve time, so
+        # their row k covers frames 2k and 2k+1.
+        frames = np.arange(self.rows) if self.kind == "none" else np.arange(self.rows) * 2 + 1
+        idx, _ = assign_partitions(ego_xy[..., frames, :], nbr_xy[..., frames, :],
+                                   self.n_theta)
         return idx
-
-    def represent(self, ego_values: np.ndarray, neighbor_values: list) -> T.Tensor:
-        """Single-sample reference path: (T_h, N_theta, d).
-
-        Neighbor order does not matter (bucket contents are averaged);
-        buckets with no neighbors are exactly zero.
-        """
-        if len(neighbor_values) == 0:
-            return T.Tensor(np.zeros((self.rows, self.n_theta, self.d)))
-        e_ego = self.embed_agent(ego_values)
-        feats = []
-        row_ids = []
-        for nbr in neighbor_values:
-            feats.append(self.pair_feature(e_ego, self.embed_agent(nbr)))
-            row_ids.append(self.row_partitions(np.asarray(ego_values, float),
-                                               np.asarray(nbr, float)))
-        stacked = T.concat([T.reshape(f, (1, self.rows, self.d)) for f in feats], axis=0)
-        flat = T.reshape(stacked, (len(feats) * self.rows, self.d))
-        # Segment id = t * n_theta + bucket, so the mean lands directly in
-        # (T_h, N_theta, d) layout after one reshape.
-        t_index = np.tile(np.arange(self.rows), len(feats))
-        seg = t_index * self.n_theta + np.concatenate(row_ids)
-        pooled = T.segment_mean(flat, seg, self.rows * self.n_theta)
-        return T.reshape(pooled, (self.rows, self.n_theta, self.d))
-
-
-def _row_anchor_frames(kind: str, t_h: int, rows: int) -> np.ndarray:
-    """Last raw frame index (0-based) covered by each spectrum row."""
-    if kind == "none":
-        return np.arange(rows)
-    # Paired kinds halve time: row k covers raw frames 2k and 2k+1.
-    return np.arange(rows) * 2 + 1
-
-
-def _spec_cols(kind: str, t_h: int, m: int) -> int:
-    rows, cols = spectrum_shape(kind, t_h, m)
-    return cols

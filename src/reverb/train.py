@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, config_hash, model_hash
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .model import ReverbPredictor
 from .nn import checkpoint
 from .nn import tensor as T
@@ -63,20 +63,19 @@ def load_model(path, cfg: RunConfig) -> tuple:
     return model, arrays, meta
 
 
-def _atomic_write_text(path, text: str):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+def _meta_int(meta: dict, key: str, path) -> int:
+    """An integer meta entry a resume needs, or ParseError naming the file."""
+    try:
+        return int(float(meta[key]))
+    except (KeyError, ValueError, OverflowError):
+        raise ParseError(f"meta {key!r} is missing or not a number", path=path) from None
 
 
 def write_loss_log(path, history, cfg: RunConfig):
     lines = [f"# config_hash={config_hash(cfg)} seed={cfg.seed}",
              "epoch,mean_loss"]
     lines.extend(f"{s.epoch},{s.mean_loss:.17g}" for s in history)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    checkpoint.atomic_write(path, "\n".join(lines) + "\n")
 
 
 def run_training(cfg: RunConfig, samples, out_dir, resume=None,
@@ -99,8 +98,8 @@ def run_training(cfg: RunConfig, samples, out_dir, resume=None,
     if resume is not None:
         model, arrays, meta = load_model(resume, cfg)
         adam = Adam(model.store, lr=cfg.lr)
-        adam.load_arrays(arrays, step_count=int(float(meta["adam_t"])))
-        start_epoch = int(float(meta["epoch"]))
+        adam.load_arrays(arrays, step_count=_meta_int(meta, "adam_t", resume))
+        start_epoch = _meta_int(meta, "epoch", resume)
 
     encoded = model.encode(samples)
     n = encoded.size

@@ -84,7 +84,11 @@ def spectrum_shape(kind: str, t: int, m: int) -> tuple[int, int]:
 
 
 def forward_values(values: np.ndarray, kind: str) -> np.ndarray:
-    """Apply the transform to a ``(t, m)`` array, returning ``(T, M)``."""
+    """Apply the transform to a ``(..., t, m)`` array, returning ``(..., T, M)``.
+
+    Leading axes are a stack of independent sequences; each one gets
+    exactly the values a lone ``(t, m)`` call would give it.
+    """
     x = _checked(values, kind)
     if kind == "none":
         return x.copy()
@@ -156,9 +160,9 @@ def past_row(frame: int, kind: str) -> int:
 def _checked(values: np.ndarray, kind: str) -> np.ndarray:
     check_kind(kind)
     x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"sequence must be 2-d (t, m), got shape {x.shape}")
-    t = x.shape[0]
+    if x.ndim < 2:
+        raise ShapeError(f"sequence must be (..., t, m), got shape {x.shape}")
+    t = x.shape[-2]
     if t < 2:
         raise SequenceLengthError(f"need at least 2 steps, got {t}")
     if kind != "none" and t % 2:
@@ -169,8 +173,8 @@ def _checked(values: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _haar_forward(x: np.ndarray) -> np.ndarray:
-    even, odd = x[0::2], x[1::2]
-    return np.concatenate([(even + odd) / _SQRT2, (even - odd) / _SQRT2], axis=1)
+    even, odd = x[..., 0::2, :], x[..., 1::2, :]
+    return np.concatenate([(even + odd) / _SQRT2, (even - odd) / _SQRT2], axis=-1)
 
 
 def _haar_inverse(s: np.ndarray) -> np.ndarray:
@@ -183,27 +187,29 @@ def _haar_inverse(s: np.ndarray) -> np.ndarray:
 
 
 def _shift_back(v: np.ndarray) -> np.ndarray:
-    """``v`` shifted one row down; the missing first row is linearly extrapolated."""
+    """``v`` shifted one row down (axis -2); the missing first row is linearly
+    extrapolated."""
     out = np.empty_like(v)
-    out[1:] = v[:-1]
-    out[0] = 2.0 * v[0] - v[1] if v.shape[0] > 1 else v[0]
+    out[..., 1:, :] = v[..., :-1, :]
+    out[..., 0, :] = 2.0 * v[..., 0, :] - v[..., 1, :] if v.shape[-2] > 1 else v[..., 0, :]
     return out
 
 
 def _shift_fwd(v: np.ndarray) -> np.ndarray:
-    """``v`` shifted one row up; the missing last row is linearly extrapolated."""
+    """``v`` shifted one row up (axis -2); the missing last row is linearly
+    extrapolated."""
     out = np.empty_like(v)
-    out[:-1] = v[1:]
-    out[-1] = 2.0 * v[-1] - v[-2] if v.shape[0] > 1 else v[-1]
+    out[..., :-1, :] = v[..., 1:, :]
+    out[..., -1, :] = 2.0 * v[..., -1, :] - v[..., -2, :] if v.shape[-2] > 1 else v[..., -1, :]
     return out
 
 
 def _db2_forward(x: np.ndarray) -> np.ndarray:
-    even, odd = x[0::2], x[1::2]
+    even, odd = x[..., 0::2, :], x[..., 1::2, :]
     s1 = even + _SQRT3 * odd
     d1 = odd - (_SQRT3 / 4.0) * s1 - ((_SQRT3 - 2.0) / 4.0) * _shift_back(s1)
     s2 = s1 - _shift_fwd(d1)
-    return np.concatenate([_DB2_S * s2, _DB2_D * d1], axis=1)
+    return np.concatenate([_DB2_S * s2, _DB2_D * d1], axis=-1)
 
 
 def _db2_inverse(s: np.ndarray) -> np.ndarray:
@@ -227,13 +233,13 @@ def _dft_scale(half: int) -> np.ndarray:
 
 
 def _dft_forward(x: np.ndarray) -> np.ndarray:
-    half = x.shape[0] // 2
-    c = np.fft.rfft(x, axis=0, norm="ortho")
+    half = x.shape[-2] // 2
+    c = np.fft.rfft(x, axis=-2, norm="ortho")
     scale = _dft_scale(half)
-    re = c.real[:half] * scale
-    im = c.imag[:half] * scale
-    im[0] = c.real[half]
-    return np.concatenate([re, im], axis=1)
+    re = c.real[..., :half, :] * scale
+    im = c.imag[..., :half, :] * scale
+    im[..., 0, :] = c.real[..., half, :]
+    return np.concatenate([re, im], axis=-1)
 
 
 def _dft_inverse(s: np.ndarray) -> np.ndarray:

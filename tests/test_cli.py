@@ -98,6 +98,17 @@ def test_corrupt_scene_is_data_error(tmp_path):
     assert run(["train", "--config", str(ini)]) == 2
 
 
+def test_non_finite_scene_is_data_error(tmp_path, capsys):
+    scene = tmp_path / "nan.tsv"
+    scene.write_text("1 a0 0.0 0.0\n2 a0 nan 1.0\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("train nan.tsv\ntest nan.tsv\n")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[data]\nmanifest = {manifest}\n")
+    assert run(["train", "--config", str(ini)]) == 2
+    assert f"{scene}: line 2" in capsys.readouterr().err
+
+
 def test_synth_layout(corpus):
     data = corpus["data"]
     manifest = (data / "manifest.txt").read_text().splitlines()

@@ -18,7 +18,7 @@ from reverb.data import (
 )
 from reverb.errors import ParseError, ValidationError
 from reverb.linear import linear_fit
-from reverb.social import assign_partition
+from reverb.social import assign_partitions
 from reverb.transforms import TimeSeq
 
 
@@ -54,6 +54,16 @@ class TestLoadScene:
     def test_bad_number_names_line_and_column(self, tmp_path):
         p = write(tmp_path, "1 a 0.0 0.0\n2 a oops 1.0\n")
         with pytest.raises(ParseError, match="column 3"):
+            load_scene(p)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, token):
+        p = write(tmp_path, f"1 a 0.0 0.0\n2 a {token} 1.0\n")
+        with pytest.raises(ParseError, match="column 3") as err:
+            load_scene(p)
+        assert err.value.line == 2 and str(p) in str(err.value)
+        p = write(tmp_path, f"1 a 0.0 {token}\n")
+        with pytest.raises(ParseError, match="column 4"):
             load_scene(p)
 
     def test_duplicate_names_both_lines(self, tmp_path):
@@ -194,7 +204,8 @@ class TestManualNeighbor:
         assert len(poked.neighbors) == 1
         nbr = poked.neighbors[0].values
         np.testing.assert_array_equal(nbr[-1], [2.0, 0.0])
-        assert assign_partition(s.ego.values, nbr, 8) == 0
+        idx, _ = assign_partitions(s.ego.values[-1], nbr[-1], 8)
+        assert idx == 0
 
     def test_constant_velocity_track(self):
         ego = TimeSeq(np.zeros((5, 2)), 0.5)

@@ -115,3 +115,34 @@ class TestErrors:
         fit = linear_fit(np.zeros((4, 2)), t_f=2)
         with pytest.raises(ShapeError):
             residual(np.zeros((5, 2)), fit)
+
+
+class TestStacked:
+    def test_stack_equals_row_by_row(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(scale=20.0, size=(4, 3, 8, 2))
+        fit = linear_fit(x, t_f=12)
+        assert fit.w_lin.shape == (4, 3, 2, 2)
+        assert fit.predicted.shape == (4, 3, 12, 2)
+        for i in np.ndindex(4, 3):
+            one = linear_fit(x[i], t_f=12)
+            assert fit.w_lin[i].tobytes() == one.w_lin.tobytes()
+            assert fit.fitted[i].tobytes() == one.fitted.tobytes()
+            assert fit.predicted[i].tobytes() == one.predicted.tobytes()
+
+    def test_condition_checked_once_per_call(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a) or cond(a))
+        linear_fit(np.zeros((50, 8, 2)), t_f=2)
+        assert len(calls) == 1
+
+    def test_stack_keeps_the_checks(self):
+        x = np.zeros((3, 4, 2))
+        x[1, 2, 1] = np.nan
+        with pytest.raises(DomainError):
+            linear_fit(x, t_f=2)
+        with pytest.raises(InsufficientDataError):
+            linear_fit(np.zeros((3, 1, 2)), t_f=2)
+        with pytest.raises(ShapeError):
+            linear_fit(np.zeros(4), t_f=2)

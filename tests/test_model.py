@@ -10,7 +10,6 @@ from reverb.model import (
     ModelConfig,
     ReverbPredictor,
     best_of_k_loss,
-    superpose,
 )
 from reverb.nn import tensor as T
 from reverb.transforms import TimeSeq
@@ -45,6 +44,18 @@ def make_sample(seed=0, t_h=4, t_f=6, n_neighbors=2, dt=0.4):
         agent_id="a0",
         start_frame=1.0,
     )
+
+
+def run_forward(model, samples, noise=None):
+    """(pred (B, K_g, t_f, m), info) of the batched forward, no tape."""
+    noise = model.zero_noise() if noise is None else noise
+    with T.no_grad():
+        pred, info = model.forward(model.encode(samples), noise)
+    return pred.data, info
+
+
+def delta(info, branch):
+    return info[f"delta_{branch}"].data[0]
 
 
 class TestConfig:
@@ -86,7 +97,7 @@ class TestShapes:
         cfg = toy_config(t_h=8, t_f=12, n_theta=8, k_g=3)
         model = ReverbPredictor(cfg, seed=1)
         sample = make_sample(seed=4, t_h=8, t_f=12)
-        _, kernels = model.forward_soc(sample)
+        kernels = model.predict([sample])[0].kernels_soc
         assert kernels.r.shape == (32, 6)
         assert kernels.g.shape == (32, 3)
 
@@ -115,10 +126,12 @@ class TestLinearOnly:
             np.testing.assert_allclose(pred.values[k], want, atol=1e-12)
         assert model.store.n_values() == 0
 
-    def test_single_branch_wrappers_refuse_disabled(self):
+    def test_disabled_branch_reports_no_delta(self):
         model = ReverbPredictor(toy_config(use_soc=False), seed=0)
-        with pytest.raises(ConfigError):
-            model.forward_soc(make_sample())
+        _, info = run_forward(model, [make_sample()])
+        assert info["delta_soc"] is None
+        assert info["r_soc"] is None and info["g_soc"] is None
+        assert info["delta_non"].data.shape == (1, 4, 6, 2)
 
 
 class TestSuperposition:
@@ -127,11 +140,11 @@ class TestSuperposition:
         sample = make_sample(seed=6)
         noise = model.zero_noise()
         pred = model.predict([sample], noise=noise)[0]
-        d_non, _ = model.forward_non(sample, noise)
-        d_soc, _ = model.forward_soc(sample, noise)
+        _, info = run_forward(model, [sample], noise)
         prepped = preprocess(sample)
         y_lin = linear_fit(prepped.ego.values, 6).predicted
-        want = superpose(y_lin, d_non, d_soc) + prepped.offset[None, None, :]
+        want = (y_lin[None] + delta(info, "non") + delta(info, "soc")
+                + prepped.offset[None, None, :])
         np.testing.assert_allclose(pred.values, want, atol=1e-9)
 
     def test_toggling_soc_off_equals_zero_delta(self):
@@ -144,19 +157,17 @@ class TestSuperposition:
         noise = full.zero_noise()
         p_full = full.predict([sample], noise=noise)[0]
         p_bare = bare.predict([sample], noise=noise)[0]
-        d_soc, _ = full.forward_soc(sample, noise)
+        _, info = run_forward(full, [sample], noise)
         np.testing.assert_allclose(
-            p_full.values - p_bare.values, d_soc, atol=1e-9
+            p_full.values - p_bare.values, delta(info, "soc"), atol=1e-9
         )
 
-    def test_superpose_is_linear_in_deltas(self):
-        rng = np.random.default_rng(9)
-        y = rng.normal(size=(6, 2))
-        a = rng.normal(size=(4, 6, 2))
-        b = rng.normal(size=(4, 6, 2))
-        lhs = superpose(y, a + b)
-        rhs = superpose(y, a) + superpose(y, b) - y[None]
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    def test_no_linear_prediction_is_sum_of_deltas(self):
+        model = ReverbPredictor(toy_config(use_linear=False), seed=9)
+        pred, info = run_forward(model, [make_sample(seed=9), make_sample(seed=10)])
+        np.testing.assert_array_equal(
+            pred, info["delta_non"].data + info["delta_soc"].data
+        )
 
 
 class TestBranchIsolation:
@@ -164,20 +175,17 @@ class TestBranchIsolation:
         model = ReverbPredictor(toy_config(), seed=10)
         sample = make_sample(seed=11, n_neighbors=1)
         poked = inject_manual_neighbor(sample, [2.0, 0.0], [0.5, 0.0])
-        noise = model.zero_noise()
-        non_before, _ = model.forward_non(sample, noise)
-        non_after, _ = model.forward_non(poked, noise)
-        np.testing.assert_array_equal(non_before, non_after)
-        soc_before, _ = model.forward_soc(sample, noise)
-        soc_after, _ = model.forward_soc(poked, noise)
-        assert np.abs(soc_before - soc_after).max() > 1e-8
+        _, before = run_forward(model, [sample])
+        _, after = run_forward(model, [poked])
+        np.testing.assert_array_equal(delta(before, "non"), delta(after, "non"))
+        assert np.abs(delta(before, "soc") - delta(after, "soc")).max() > 1e-8
 
     def test_social_branch_with_empty_scene_is_well_defined(self):
         model = ReverbPredictor(toy_config(), seed=12)
         sample = make_sample(seed=13, n_neighbors=0)
-        delta, kernels = model.forward_soc(sample)
-        assert np.all(np.isfinite(delta))
-        kernels.validate()
+        _, info = run_forward(model, [sample])
+        assert np.all(np.isfinite(delta(info, "soc")))
+        model.predict([sample])[0].kernels_soc.validate()
 
 
 class TestEncodeNon:
@@ -195,7 +203,8 @@ class TestEncodeNon:
             ego=TimeSeq(ego[:4], 0.4), neighbors=(), gt=TimeSeq(ego[4:], 0.4),
             scene_id="lin", agent_id="a0", start_frame=1.0,
         )
-        e = model.encode_non(sample)
+        with T.no_grad():
+            e = model._e_non(model.encode([sample])).data[0]
         assert np.abs(e).max() < 1e-9
 
     def test_half_difference_of_embeddings(self):
@@ -205,14 +214,17 @@ class TestEncodeNon:
         with T.no_grad():
             a = model.embed_alpha(T.Tensor(batch.spec_x)).data[0]
             b = model.embed_beta(T.Tensor(batch.spec_lin)).data[0]
-        got = model.encode_non(sample)
+            got = model._e_non(batch).data[0]
         np.testing.assert_allclose(got, 0.5 * (a - b), atol=1e-12)
         assert got.shape == (2, 8)
 
     def test_replay(self):
-        a = ReverbPredictor(toy_config(), seed=18).encode_non(make_sample(seed=19))
-        b = ReverbPredictor(toy_config(), seed=18).encode_non(make_sample(seed=19))
-        np.testing.assert_array_equal(a, b)
+        def e_non():
+            model = ReverbPredictor(toy_config(), seed=18)
+            with T.no_grad():
+                return model._e_non(model.encode([make_sample(seed=19)])).data
+
+        np.testing.assert_array_equal(e_non(), e_non())
 
 
 class TestDegenerateWeights:
@@ -221,12 +233,12 @@ class TestDegenerateWeights:
         model = ReverbPredictor(cfg, seed=20)
         for name in ("non.head_r.w", "non.head_g.w", "non.decode.w"):
             model.store[name].data[...] = 0.0
-        delta, kernels = model.forward_non(make_sample(seed=21, t_h=4, t_f=5))
-        np.testing.assert_array_equal(kernels.r, 0.0)
-        np.testing.assert_array_equal(kernels.g, 0.0)
+        _, info = run_forward(model, [make_sample(seed=21, t_h=4, t_f=5)])
+        np.testing.assert_array_equal(info["r_non"].data, 0.0)
+        np.testing.assert_array_equal(info["g_non"].data, 0.0)
         bias = model.store["non.decode.b"].data
         for t in range(cfg.t_f):
-            np.testing.assert_allclose(delta[0, t], bias, atol=1e-12)
+            np.testing.assert_allclose(delta(info, "non")[0, t], bias, atol=1e-12)
 
     def test_equal_g_columns_give_equal_generation_rows(self):
         cfg = toy_config(use_soc=False)
@@ -333,18 +345,42 @@ class TestBatching:
     def test_batched_forward_matches_single_sample(self):
         model = ReverbPredictor(toy_config(), seed=35)
         samples = [make_sample(seed=60 + i, n_neighbors=i) for i in range(3)]
-        noise = model.zero_noise()
-        batch = model.encode(samples)
-        with T.no_grad():
-            pred, _ = model.forward(batch, noise)
+        pred, info = run_forward(model, samples)
         for b, s in enumerate(samples):
-            d_non, _ = model.forward_non(s, noise)
-            d_soc, _ = model.forward_soc(s, noise)
+            one, one_info = run_forward(model, [s])
+            np.testing.assert_allclose(pred[b], one[0], atol=1e-9)
+            for branch in ("non", "soc"):
+                np.testing.assert_allclose(
+                    info[f"delta_{branch}"].data[b], delta(one_info, branch), atol=1e-9
+                )
             prepped = preprocess(s)
             y_lin = linear_fit(prepped.ego.values, 6).predicted
             np.testing.assert_allclose(
-                pred.data[b], superpose(y_lin, d_non, d_soc), atol=1e-9
+                pred[b], y_lin[None] + delta(one_info, "non") + delta(one_info, "soc"),
+                atol=1e-9,
             )
+
+    @pytest.mark.parametrize("kind,per_step", [("none", True), ("haar", True),
+                                               ("db2", False), ("dft", False)])
+    def test_encode_matches_per_sample_encode(self, kind, per_step):
+        cfg = toy_config(transform=kind, per_step_partitions=per_step)
+        model = ReverbPredictor(cfg, seed=38)
+        samples = [make_sample(seed=80 + i, n_neighbors=n) for i, n in enumerate((2, 0, 3, 1))]
+        batch = model.encode(samples)
+        assert batch.own_sample.tolist() == [0, 0, 0, 1, 2, 2, 2, 2, 3, 3]
+        assert batch.pair_ego.tolist() == [0, 0, 4, 4, 4, 8]
+        for b, s in enumerate(samples):
+            one = model.encode([s])
+            for name in ("spec_x", "spec_lin", "spec_res", "y_lin", "gt", "offsets"):
+                assert getattr(batch, name)[b].tobytes() == getattr(one, name)[0].tobytes()
+            own = np.flatnonzero(batch.own_sample == b)
+            pairs = np.flatnonzero(batch.pair_sample == b)
+            assert batch.own_spec[own].tobytes() == one.own_spec.tobytes()
+            np.testing.assert_array_equal(batch.pair_ego[pairs] - own[0], one.pair_ego)
+            np.testing.assert_array_equal(batch.pair_nbr[pairs] - own[0], one.pair_nbr)
+            np.testing.assert_array_equal(batch.pair_rows[pairs], one.pair_rows)
+            assert one.pair_rows.shape == (len(s.neighbors), cfg.hist_rows)
+            assert one.pair_rows.dtype == np.int64
 
     def test_subset_matches_fresh_encode(self):
         model = ReverbPredictor(toy_config(), seed=36)

@@ -1,12 +1,13 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 from reverb.config import RunConfig, model_hash
 from reverb.data import SynthLatencySpec, make_windows, synth_latency_scenes
-from reverb.errors import ConfigError
-from reverb.model import ModelConfig
+from reverb.errors import ConfigError, ParseError
+from reverb.model import ModelConfig, ReverbPredictor
 from reverb.train import EpochStats, load_model, run_training, save_checkpoint
 from reverb.nn.optim import Adam
 
@@ -178,3 +179,33 @@ def test_training_loss_decreases_on_average(tmp_path):
     out = run_training(cfg, tiny_samples(cfg, n_scenes=4), str(tmp_path))
     losses = [s.mean_loss for s in out["history"]]
     assert np.mean(losses[-3:]) < np.mean(losses[:3])
+
+
+# Each case edits the manifest of a valid checkpoint, which then has to
+# fail the resume with a ParseError naming the file.
+MALFORMED = {
+    "shape": (rb"(tensor \S+ float32 )[0-9,]+", rb"\g<1>2,x"),
+    "offset": (rb"(tensor \S+ float32 [0-9,]+ )0", rb"\g<1>zero"),
+    "blob_size": (rb"\nblob \d+", rb"\nblob 1e3"),
+    "meta_value": (rb"meta seed \d+", rb"meta seed"),
+    "missing_epoch": (rb"meta epoch \d+\n", rb""),
+    "missing_adam_t": (rb"meta adam_t \d+\n", rb""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_resume_checkpoint_is_parse_error(tmp_path, case):
+    cfg = tiny_cfg()
+    model = ReverbPredictor(cfg.model, seed=cfg.seed)
+    path = tmp_path / "bad.bin"
+    save_checkpoint(str(path), model, Adam(model.store, lr=cfg.lr), 1, cfg)
+    raw = path.read_bytes()
+    cut = raw.index(b"\nblob ") + 1
+    cut = raw.index(b"\n", cut) + 1
+    pattern, repl = MALFORMED[case]
+    manifest, n = re.subn(pattern, repl, raw[:cut], count=1)
+    assert n == 1
+    path.write_bytes(manifest + raw[cut:])
+    with pytest.raises(ParseError) as err:
+        run_training(cfg, tiny_samples(cfg), str(tmp_path / "out"), resume=str(path))
+    assert str(path) in str(err.value)

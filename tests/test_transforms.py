@@ -199,3 +199,25 @@ class TestErrors:
     def test_odd_spectrum_columns_rejected(self):
         with pytest.raises(ShapeError):
             transforms.inverse_values(np.zeros((4, 3)), "haar")
+
+
+class TestStacked:
+    @pytest.mark.parametrize("kind", transforms.KINDS)
+    def test_stack_equals_row_by_row(self, kind):
+        rng = np.random.default_rng(12)
+        for t in (2, 8, 12):
+            x = rng.normal(scale=30.0, size=(3, 5, t, 2))
+            out = transforms.forward_values(x, kind)
+            assert out.shape == (3, 5) + transforms.spectrum_shape(kind, t, 2)
+            for i in np.ndindex(3, 5):
+                assert out[i].tobytes() == transforms.forward_values(x[i], kind).tobytes()
+
+    def test_stack_keeps_the_checks(self):
+        x = np.zeros((3, 4, 2))
+        x[2, 1, 0] = np.inf
+        with pytest.raises(DomainError):
+            transforms.forward_values(x, "dft")
+        with pytest.raises(SequenceLengthError):
+            transforms.forward_values(np.zeros((3, 5, 2)), "db2")
+        with pytest.raises(SequenceLengthError):
+            transforms.forward_values(np.zeros((3, 1, 2)), "none")
