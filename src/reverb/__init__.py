@@ -19,7 +19,6 @@ from .data import (
     make_windows,
     preprocess,
     synth_latency_scenes,
-    untranslate,
     write_scene,
 )
 from .errors import (
@@ -95,7 +94,6 @@ __all__ = [
     "sequential_similarity",
     "stat_ade_fde",
     "synth_latency_scenes",
-    "untranslate",
     "write_curves_csv",
     "write_scene",
 ]

@@ -50,10 +50,6 @@ class Scene:
     dt: float
     tracklets: list
 
-    @property
-    def agent_ids(self) -> list:
-        return sorted({t.agent_id for t in self.tracklets})
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -73,10 +69,9 @@ class Sample:
     offset: np.ndarray | None = None
 
 
-def load_scene(path, fmt: str = "tsv", dt: float = 0.4, scene_id: str | None = None) -> Scene:
-    """Parse one scene file; malformed rows raise with their line number."""
-    if fmt != "tsv":
-        raise ValidationError(f"unknown scene format {fmt!r}")
+def load_scene(path, dt: float = 0.4, scene_id: str | None = None) -> Scene:
+    """Parse one whitespace-separated scene file (frame agent x y);
+    malformed rows raise with their line number."""
     rows = {}
     seen = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -227,22 +222,6 @@ def preprocess(sample: Sample) -> Sample:
         ),
         gt=TimeSeq(sample.gt.values - offset, sample.gt.dt),
         offset=offset,
-    )
-
-
-def untranslate(sample: Sample) -> Sample:
-    """Inverse of preprocess (exact)."""
-    if sample.offset is None:
-        return sample
-    offset = sample.offset
-    return replace(
-        sample,
-        ego=TimeSeq(sample.ego.values + offset, sample.ego.dt),
-        neighbors=tuple(
-            TimeSeq(n.values + offset, n.dt) for n in sample.neighbors
-        ),
-        gt=TimeSeq(sample.gt.values + offset, sample.gt.dt),
-        offset=None,
     )
 
 

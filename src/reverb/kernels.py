@@ -13,6 +13,12 @@ rehearsal field ``out[:, :, d] = g.T @ F[:, :, d] @ r`` of shape
 (K_g, T_f, D).  The map is linear in F, and each output slice's rank is
 bounded by min(rank g, rank F_d, rank r); :func:`rank_report` verifies
 that bound numerically.
+
+:func:`reverberation_transform` takes a general F and is the reference
+oracle.  The model only ever applies it to a sequential similarity,
+whose slices are rank 1 (``F_d = f_d f_d^T``), so
+``ReverbPredictor._rehearse`` uses ``g.T @ F_d @ r = (g.T f_d)(f_d^T r)``
+and never builds F.
 """
 
 from __future__ import annotations

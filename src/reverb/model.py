@@ -13,7 +13,14 @@ spectrum coefficients, and maps those back to trajectory space with the
 exact inverse-transform matrix.  The non-interactive branch works on
 the ego's own history (rows = T_h spectrum rows); the social branch
 works on angle-partitioned neighbor features (rows = N_theta * T_h,
-bucket-major).
+bucket-major).  Both branches share one builder (``_add_branch``) and
+one forward (``_branch``); they differ only in row count and query
+features.
+
+Every channel of the similarity tensor is rank 1, ``F_d = f_d f_d^T``,
+so the model computes ``G^T F_d R`` as ``(G^T f_d)(f_d^T R)`` and never
+builds the (B, rows, rows, d) tensor F.  ``kernels.reverberation_transform``
+stays the general-F oracle this closed form is tested against.
 
 There is one path from samples to forecast, and it is batched:
 ``encode`` stacks every ego and neighbor window of a batch and runs the
@@ -189,6 +196,21 @@ class PredictionBatch:
     start_frame: float
 
 
+@dataclass
+class _Branch:
+    """Layers of one correction branch; ``rows`` is its kernel row count.
+    ``head_r`` is None for uniform R; ``static_g`` replaces ``head_g``."""
+
+    rows: int
+    proj: Dense
+    value: Dense
+    tf: EncoderDecoder
+    decode: Dense
+    head_r: Dense | None
+    head_g: Dense | None
+    static_g: T.Tensor | None
+
+
 def best_of_k_loss(values: np.ndarray, gt: np.ndarray) -> float:
     """Minimum over generations of the mean per-step distance.
 
@@ -210,46 +232,40 @@ class ReverbPredictor:
         self.config = config
         self.store = ParameterStore(seed)
         c = config
-        need_e_non = c.use_non or c.use_soc
-        if need_e_non:
+        if c.use_non or c.use_soc:
             self.embed_alpha = MLP(self.store, "enc.alpha", [c.cols, c.d, c.d], "tanh")
             self.embed_beta = MLP(self.store, "enc.beta", [c.cols, c.d, c.d], "tanh")
+        self.branches: dict[str, _Branch] = {}
         if c.use_non:
-            self.proj_non = Dense(self.store, "non.proj", c.d + c.z_dim, c.d)
-            self.value_non = Dense(self.store, "non.value", c.cols, c.d)
-            self.tf_non = EncoderDecoder(
-                self.store, "non.tf", c.d, heads=c.tf_heads, layers=c.tf_layers,
-                max_len=c.hist_rows,
-            )
-            self.decode_non = Dense(self.store, "non.decode", c.d, c.cols)
-            self._add_kernel_heads("non", c.hist_rows)
+            self._add_branch("non", c.d + c.z_dim, c.hist_rows)
         if c.use_soc:
             self.social = SocialEncoder(
                 self.store, "soc", c.transform, c.t_h, c.m, c.d, c.n_theta,
                 per_step=c.per_step_partitions,
             )
-            self.proj_soc = Dense(self.store, "soc.proj", 2 * c.d + c.z_dim, c.d)
-            self.value_soc = Dense(self.store, "soc.value", c.cols, c.d)
-            self.tf_soc = EncoderDecoder(
-                self.store, "soc.tf", c.d, heads=c.tf_heads, layers=c.tf_layers,
-                max_len=c.soc_rows,
-            )
-            self.decode_soc = Dense(self.store, "soc.decode", c.d, c.cols)
-            self._add_kernel_heads("soc", c.soc_rows)
+            self._add_branch("soc", 2 * c.d + c.z_dim, c.soc_rows)
         inv = transforms.inverse_matrix(c.transform, c.t_f, c.m)
         self._inv = T.Tensor(np.array(inv))
 
-    def _add_kernel_heads(self, branch: str, rows: int):
-        c = self.config
-        if c.kernel_r:
-            setattr(self, f"head_r_{branch}",
-                    Dense(self.store, f"{branch}.head_r", c.d, c.fut_rows))
-        if c.kernel_g:
-            setattr(self, f"head_g_{branch}",
-                    Dense(self.store, f"{branch}.head_g", c.d, c.k_g))
-        else:
-            setattr(self, f"static_g_{branch}",
-                    self.store.add(f"{branch}.static_g", (rows, c.k_g), init="xavier"))
+    def _add_branch(self, name: str, in_dim: int, rows: int):
+        """Build one correction branch.  Parameters are added in field
+        order, which fixes their names' order and the seeded init stream."""
+        c, store = self.config, self.store
+        branch = _Branch(
+            rows=rows,
+            proj=Dense(store, f"{name}.proj", in_dim, c.d),
+            value=Dense(store, f"{name}.value", c.cols, c.d),
+            tf=EncoderDecoder(store, f"{name}.tf", c.d, heads=c.tf_heads,
+                              layers=c.tf_layers, max_len=rows),
+            decode=Dense(store, f"{name}.decode", c.d, c.cols),
+            head_r=Dense(store, f"{name}.head_r", c.d, c.fut_rows) if c.kernel_r else None,
+            head_g=Dense(store, f"{name}.head_g", c.d, c.k_g) if c.kernel_g else None,
+            static_g=(None if c.kernel_g
+                      else store.add(f"{name}.static_g", (rows, c.k_g), init="xavier")),
+        )
+        self.branches[name] = branch
+        # perfbench/spans.py names each transformer's span by this attribute.
+        setattr(self, f"tf_{name}", branch.tf)
 
     # ------------------------------------------------------------------
     # Encoding (numpy side)
@@ -323,55 +339,46 @@ class ReverbPredictor:
             raise ShapeError(f"noise must be ({self.config.z_dim},), got {z.shape}")
         return T.Tensor(np.broadcast_to(z, (batch_size, rows, z.shape[0])))
 
-    def _kernels(self, branch: str, f: T.Tensor, rows: int):
+    def _kernels(self, branch: _Branch, f: T.Tensor):
         c = self.config
-        bsz = f.data.shape[0]
-        if c.kernel_r:
-            r = T.tanh(getattr(self, f"head_r_{branch}")(f))
+        if branch.head_r is not None:
+            r = T.tanh(branch.head_r(f))
         else:
-            r = T.Tensor(np.broadcast_to(1.0 / rows, (bsz, rows, c.fut_rows)))
-        if c.kernel_g:
-            g = T.tanh(getattr(self, f"head_g_{branch}")(f))
+            r = T.Tensor(np.broadcast_to(1.0 / branch.rows,
+                                         (f.data.shape[0], branch.rows, c.fut_rows)))
+        if branch.head_g is not None:
+            g = T.tanh(branch.head_g(f))
         else:
-            g = T.tanh(getattr(self, f"static_g_{branch}"))
-            g = T.reshape(g, (1, rows, c.k_g))
+            g = T.reshape(T.tanh(branch.static_g), (1, branch.rows, c.k_g))
         return r, g
 
     def _rehearse(self, f: T.Tensor, r: T.Tensor, g: T.Tensor, decode: Dense) -> T.Tensor:
-        """similarity -> reverberation transform -> decode -> inverse."""
+        """Reverberation field -> decode -> inverse transform.
+
+        Each similarity channel is rank 1, ``F_d = f_d f_d^T``, so
+        ``G^T F_d R = (G^T f_d)(f_d^T R)``: two matmuls and a broadcast
+        product give the (B, K_g, T_f, d) field without building F.
+        """
         c = self.config
-        bsz, rows, d = f.data.shape
-        sim = T.reshape(f, (bsz, rows, 1, d)) * T.reshape(f, (bsz, 1, rows, d))
-        simT = T.transpose(sim, (0, 3, 1, 2))
-        r4 = T.reshape(r, (r.data.shape[0], 1, rows, c.fut_rows))
-        tmp = T.matmul(simT, r4)
-        g3 = T.transpose(g, (0, 2, 1))
-        g4 = T.reshape(g3, (g.data.shape[0], 1, c.k_g, rows))
-        fld = T.transpose(T.matmul(g4, tmp), (0, 2, 3, 1))
+        bsz, _, d = f.data.shape
+        gf = T.matmul(T.transpose(g, (0, 2, 1)), f)
+        rf = T.matmul(T.transpose(r, (0, 2, 1)), f)
+        fld = (T.reshape(gf, (bsz, c.k_g, 1, d))
+               * T.reshape(rf, (bsz, 1, c.fut_rows, d)))
         spec = decode(fld)
         flat = T.reshape(spec, (bsz, c.k_g, c.fut_rows * c.cols))
         seq = T.matmul(flat, self._inv)
         return T.reshape(seq, (bsz, c.k_g, c.t_f, c.m))
 
-    def _branch_non(self, batch: EncodedBatch, e_non: T.Tensor, z: np.ndarray):
-        c = self.config
-        zt = self._tile_noise(z, batch.size, c.hist_rows)
-        qk = self.proj_non(T.concat([e_non, zt], axis=2))
-        mem = self.value_non(T.Tensor(batch.spec_res))
-        feats = self.tf_non(qk, mem)
-        r, g = self._kernels("non", feats, c.hist_rows)
-        return self._rehearse(feats, r, g, self.decode_non), r, g
-
-    def _branch_soc(self, batch: EncodedBatch, e_non: T.Tensor, z: np.ndarray):
-        c = self.config
-        e_soc = self._social_rows(batch)
-        tiled = T.concat([e_non] * c.n_theta, axis=1)
-        zt = self._tile_noise(z, batch.size, c.soc_rows)
-        qk = self.proj_soc(T.concat([tiled, e_soc, zt], axis=2))
-        mem = self.value_soc(T.Tensor(batch.spec_res))
-        feats = self.tf_soc(qk, mem)
-        r, g = self._kernels("soc", feats, c.soc_rows)
-        return self._rehearse(feats, r, g, self.decode_soc), r, g
+    def _branch(self, name: str, batch: EncodedBatch, query_parts: list, z: np.ndarray):
+        """One correction branch: (delta (B, K_g, t_f, m), r, g)."""
+        branch = self.branches[name]
+        zt = self._tile_noise(z, batch.size, branch.rows)
+        qk = branch.proj(T.concat([*query_parts, zt], axis=2))
+        mem = branch.value(T.Tensor(batch.spec_res))
+        feats = branch.tf(qk, mem)
+        r, g = self._kernels(branch, feats)
+        return self._rehearse(feats, r, g, branch.decode), r, g
 
     def _social_rows(self, batch: EncodedBatch) -> T.Tensor:
         """Pooled pair features, (B, N_theta*T_h, d), bucket-major rows."""
@@ -400,15 +407,16 @@ class ReverbPredictor:
         if c.use_linear:
             parts.append(T.Tensor(batch.y_lin[:, None, :, :]))
         info = dict.fromkeys(("r_non", "g_non", "delta_non", "r_soc", "g_soc", "delta_soc"))
-        e_non = self._e_non(batch) if (c.use_non or c.use_soc) else None
-        if c.use_non:
-            delta, r, g = self._branch_non(batch, e_non, noise["non"])
+        e_non = self._e_non(batch) if self.branches else None
+        for name in self.branches:
+            if name == "soc":
+                e_soc = self._social_rows(batch)
+                query_parts = [T.concat([e_non] * c.n_theta, axis=1), e_soc]
+            else:
+                query_parts = [e_non]
+            delta, r, g = self._branch(name, batch, query_parts, noise[name])
             parts.append(delta)
-            info["r_non"], info["g_non"], info["delta_non"] = r, g, delta
-        if c.use_soc:
-            delta, r, g = self._branch_soc(batch, e_non, noise["soc"])
-            parts.append(delta)
-            info["r_soc"], info["g_soc"], info["delta_soc"] = r, g, delta
+            info[f"r_{name}"], info[f"g_{name}"], info[f"delta_{name}"] = r, g, delta
         pred = parts[0]
         for p in parts[1:]:
             pred = pred + p

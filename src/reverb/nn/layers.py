@@ -54,9 +54,6 @@ class ParameterStore:
     def items(self):
         return self._params.items()
 
-    def n_values(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
     def zero_grad(self):
         for p in self._params.values():
             p.grad = None
@@ -69,7 +66,7 @@ class ParameterStore:
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self._params.items()}
 
-    def load_arrays(self, arrays: dict, strict: bool = True):
+    def load_arrays(self, arrays: dict):
         """Overwrite parameter values; mismatches raise with a full diff."""
         problems = []
         for name, p in self._params.items():
@@ -79,10 +76,9 @@ class ParameterStore:
             a = np.asarray(arrays[name], dtype=np.float64)
             if a.shape != p.data.shape:
                 problems.append(f"shape {name}: checkpoint {a.shape} != model {p.data.shape}")
-        if strict:
-            for name in arrays:
-                if name not in self._params:
-                    problems.append(f"unexpected {name} {np.shape(arrays[name])}")
+        for name in arrays:
+            if name not in self._params:
+                problems.append(f"unexpected {name} {np.shape(arrays[name])}")
         if problems:
             raise ConfigError(
                 "checkpoint/model dimension mismatch:\n  " + "\n  ".join(problems)

@@ -103,13 +103,13 @@ class EncoderDecoder:
 
     ``queries_keys`` (B, L_q, d) drives the output positions; ``values``
     (B, L_v, d) is the memory the decoder cross-attends into.  Both get
-    sinusoidal positions added before any attention.
+    sinusoidal positions added before any attention.  Feed-forward
+    blocks are 4 * d wide.
     """
 
     def __init__(self, store: ParameterStore, name: str, dim: int,
-                 heads: int = 8, layers: int = 2, hidden: int | None = None,
-                 max_len: int = 512):
-        hidden = 4 * dim if hidden is None else hidden
+                 heads: int = 8, layers: int = 2, max_len: int = 512):
+        hidden = 4 * dim
         self.dim = dim
         self.pos = sinusoidal_encoding(max_len, dim)
         self.encoder = [

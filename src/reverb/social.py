@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import transforms
 from .errors import ConfigError
 from .nn.layers import MLP, ParameterStore
-from .transforms import forward_values, spectrum_shape
 
 
 def assign_partitions(ego_pts: np.ndarray, nbr_pts: np.ndarray, n_theta: int):
@@ -61,7 +61,7 @@ class SocialEncoder:
         self.kind = kind
         self.n_theta = n_theta
         self.per_step = per_step
-        self.rows, cols = spectrum_shape(kind, t_h, m)
+        self.rows, cols = transforms.spectrum_shape(kind, t_h, m)
         self.embed_own = MLP(store, f"{name}.own", [cols, d, d], "tanh")
         self.embed_pair = MLP(store, f"{name}.pair", [d, d, d], "tanh")
 
@@ -69,7 +69,7 @@ class SocialEncoder:
         """Spectra of (..., t_h, m) sequences, each translated to its own
         last point."""
         values = np.asarray(values, dtype=np.float64)
-        return forward_values(values - values[..., -1:, :], self.kind)
+        return transforms.forward_values(values - values[..., -1:, :], self.kind)
 
     def row_partitions(self, ego_xy: np.ndarray, nbr_xy: np.ndarray) -> np.ndarray:
         """Bucket index per spectrum row: (..., t_h, 2) pairs -> (..., T_h).

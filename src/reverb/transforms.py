@@ -141,22 +141,6 @@ def inverse_matrix(kind: str, t: int, m: int) -> np.ndarray:
     return w
 
 
-def past_row(frame: int, kind: str) -> int:
-    """1-based spectrum row holding observation frame ``frame`` (1-based).
-
-    Only meaningful for time-localised kinds; ``dft`` rows are frequency
-    bins with no single source frame.
-    """
-    check_kind(kind)
-    if kind == "dft":
-        raise ConfigError("dft rows are frequency bins, not time steps")
-    if frame < 1:
-        raise ShapeError(f"frame must be >= 1, got {frame}")
-    if kind == "none":
-        return frame
-    return (frame + 1) // 2
-
-
 def _checked(values: np.ndarray, kind: str) -> np.ndarray:
     check_kind(kind)
     x = np.asarray(values, dtype=np.float64)

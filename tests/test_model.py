@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from reverb import transforms
 from reverb.data import Sample, inject_manual_neighbor, preprocess
 from reverb.errors import ConfigError, ShapeError
+from reverb.kernels import ReverbKernelPair, reverberation_transform, sequential_similarity
 from reverb.linear import linear_fit
 from reverb.model import (
     EncodedBatch,
@@ -124,7 +127,7 @@ class TestLinearOnly:
         want = fit.predicted + prepped.offset[None, :]
         for k in range(cfg.k_g):
             np.testing.assert_allclose(pred.values[k], want, atol=1e-12)
-        assert model.store.n_values() == 0
+        assert model.store.names() == []
 
     def test_disabled_branch_reports_no_delta(self):
         model = ReverbPredictor(toy_config(use_soc=False), seed=0)
@@ -405,3 +408,77 @@ class TestBatching:
             pred.kernels_non.g, np.tanh(model.store["non.static_g"].data)
         )
         assert np.all(np.isfinite(pred.values))
+
+
+class TestClosedFormRehearsal:
+    """``_rehearse`` uses G^T F_d R = (G^T f_d)(f_d^T R); the general-F
+    kernel algebra in ``reverb.kernels`` is its oracle."""
+
+    @pytest.mark.parametrize("kernel_r,kernel_g", [(True, True), (True, False),
+                                                   (False, True), (False, False)])
+    @pytest.mark.parametrize("branch", ["non", "soc"])
+    def test_matches_similarity_oracle(self, kernel_r, kernel_g, branch):
+        cfg = toy_config(kernel_r=kernel_r, kernel_g=kernel_g)
+        model = ReverbPredictor(cfg, seed=40)
+        layers = model.branches[branch]
+        rng = np.random.default_rng(41)
+        f = T.Tensor(rng.normal(size=(3, layers.rows, cfg.d)))
+        with T.no_grad():
+            r, g = model._kernels(layers, f)
+            got = model._rehearse(f, r, g, layers.decode).data
+        # Uniform R is broadcast over the batch; static G has one stack entry.
+        assert r.data.shape == (3, layers.rows, cfg.fut_rows)
+        assert g.data.shape == ((3 if kernel_g else 1), layers.rows, cfg.k_g)
+        inv = transforms.inverse_matrix(cfg.transform, cfg.t_f, cfg.m)
+        for b in range(3):
+            pair = ReverbKernelPair(r=r.data[b], g=g.data[b if kernel_g else 0])
+            fld = reverberation_transform(sequential_similarity(f.data[b]), pair)
+            spec = fld @ layers.decode.w.data + layers.decode.b.data
+            want = (spec.reshape(cfg.k_g, -1) @ inv).reshape(cfg.k_g, cfg.t_f, cfg.m)
+            np.testing.assert_allclose(got[b], want, rtol=1e-12)
+
+
+def _sha256(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.hexdigest()
+
+
+class TestParameterStorePin:
+    """Parameter names, their order and the seed-1 initial weights of the
+    paper-default model are pinned: checkpoints and the init stream must
+    not change when the model code is reorganised."""
+
+    HEADS = ["enc.alpha.0.w", "enc.alpha.0.b", "enc.alpha.1.w", "enc.alpha.1.b",
+             "enc.beta.0.w", "enc.beta.0.b", "enc.beta.1.w", "enc.beta.1.b",
+             "non.proj.w", "non.proj.b", "non.value.w", "non.value.b",
+             "non.decode.w", "non.decode.b", "non.head_r.w", "non.head_r.b",
+             "non.head_g.w", "non.head_g.b",
+             "soc.own.0.w", "soc.own.0.b", "soc.own.1.w", "soc.own.1.b",
+             "soc.pair.0.w", "soc.pair.0.b", "soc.pair.1.w", "soc.pair.1.b",
+             "soc.proj.w", "soc.proj.b", "soc.value.w", "soc.value.b",
+             "soc.decode.w", "soc.decode.b", "soc.head_r.w", "soc.head_r.b",
+             "soc.head_g.w", "soc.head_g.b"]
+
+    @pytest.mark.parametrize("kernel_g,n_names,names_sha,weights_sha", [
+        (True, 212,
+         "ca338cac0e014c705b5837d9d271c1aed27bb707283d05a4038e5fb49d28ebfe",
+         "c80de0e2323493e5a26459fe1ec80ce27b9d9be18a753d996478200fb0411764"),
+        (False, 210,
+         "11e6fa658de085312ab802a7fc64555050f4193f05f81e4e0bc4467119dae746",
+         "d3de660ebe85f70fdc9b49c34ca8c2cc67d414ccadd42567b0691bcd2d7d0559"),
+    ], ids=["learned_g", "static_g"])
+    def test_names_and_seed_1_weights(self, kernel_g, n_names, names_sha, weights_sha):
+        model = ReverbPredictor(ModelConfig(kernel_g=kernel_g), seed=1)
+        names = model.store.names()
+        heads = [n for n in names if not n.startswith(("non.tf.", "soc.tf."))]
+        if kernel_g:
+            assert heads == self.HEADS
+        else:
+            assert heads == [n.replace("head_g.w", "static_g") for n in self.HEADS
+                             if not n.endswith("head_g.b")]
+        assert len(names) == n_names
+        assert _sha256(["\n".join(names).encode()]) == names_sha
+        arrays = model.store.state_arrays()
+        assert _sha256(a.tobytes() for a in arrays.values()) == weights_sha

@@ -153,22 +153,6 @@ class TestInverseMatrix:
             assert_allclose(by_matrix, transforms.inverse_values(s, kind), atol=1e-12)
 
 
-class TestPastRow:
-    def test_paired_kinds_halve_the_frame(self):
-        assert transforms.past_row(1, "haar") == 1
-        assert transforms.past_row(2, "haar") == 1
-        assert transforms.past_row(3, "haar") == 2
-        assert transforms.past_row(8, "haar") == 4
-        assert transforms.past_row(5, "db2") == 3
-
-    def test_identity_kind_keeps_the_frame(self):
-        assert transforms.past_row(6, "none") == 6
-
-    def test_dft_rows_are_not_time_steps(self):
-        with pytest.raises(ConfigError):
-            transforms.past_row(1, "dft")
-
-
 class TestErrors:
     def test_odd_length_rejected_for_paired_kinds(self):
         x = np.zeros((5, 2))
