@@ -34,16 +34,15 @@ from .errors import (
 )
 from .kernels import (
     ReverbKernelPair,
-    bound_kernel,
     rank_report,
     reverberation_transform,
     sequential_similarity,
 )
-from .linear import LinearFit, linear_fit, residual
+from .linear import LinearFit, linear_fit
 from .metrics import min_ade_fde, stat_ade_fde
 from .model import ModelConfig, PredictionBatch, ReverbPredictor, best_of_k_loss
 from .train import run_training
-from .transforms import KINDS, Spectrum, TimeSeq, forward, inverse
+from .transforms import KINDS, TimeSeq
 
 __version__ = "0.1.0"
 
@@ -65,7 +64,6 @@ __all__ = [
     "Scene",
     "SequenceLengthError",
     "ShapeError",
-    "Spectrum",
     "SynthLatencySpec",
     "TimeSeq",
     "Tracklet",
@@ -73,11 +71,8 @@ __all__ = [
     "ValidationError",
     "average_curves",
     "best_of_k_loss",
-    "bound_kernel",
     "config_hash",
-    "forward",
     "inject_manual_neighbor",
-    "inverse",
     "linear_fit",
     "load_config",
     "load_scene",
@@ -88,7 +83,6 @@ __all__ = [
     "model_hash",
     "preprocess",
     "rank_report",
-    "residual",
     "reverberation_transform",
     "run_training",
     "sequential_similarity",

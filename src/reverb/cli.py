@@ -159,6 +159,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _int_list(flag: str, text: str) -> list:
+    """The integers of a comma-list flag value; empty items are skipped."""
+    out = []
+    for tok in filter(None, text.split(",")):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ConfigError(f"{flag}: {tok!r} is not an integer") from None
+    return out
+
+
 def _load_run_config(args) -> RunConfig:
     return load_config(args.config, args.set)
 
@@ -278,6 +289,7 @@ def cmd_eval(args) -> int:
 def cmd_curves(args) -> int:
     cfg = _load_run_config(args)
     out_dir = resolve_output_dir(cfg, args.out_dir)
+    generations = _int_list("--generations", args.generations) if args.generations else None
     model, _, _ = load_model(args.checkpoint, cfg)
     if args.scene:
         scene = load_scene(args.scene, dt=cfg.model.dt)
@@ -293,9 +305,6 @@ def cmd_curves(args) -> int:
     if args.manual_neighbor:
         dx, dy, vx, vy = args.manual_neighbor
         samples = [inject_manual_neighbor(s, [dx, dy], [vx, vy]) for s in samples]
-    generations = None
-    if args.generations:
-        generations = [int(tok) for tok in args.generations.split(",") if tok]
     preds = model.predict(samples)
     out = []
     groups = []
@@ -322,7 +331,7 @@ def cmd_ablate(args) -> int:
     unknown = [v for v in variants if v not in ABLATION_VARIANTS]
     if unknown:
         raise ConfigError(f"unknown ablation variants: {', '.join(unknown)}")
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok]
+    seeds = _int_list("--seeds", args.seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
     train_samples = _samples_from_manifest(cfg, cfg.train_split,
@@ -372,7 +381,7 @@ def cmd_synth(args) -> int:
         n_frames=args.frames,
         dt=args.dt,
         t_e=args.event_frame,
-        deltas=tuple(int(tok) for tok in args.deltas.split(",") if tok),
+        deltas=tuple(_int_list("--deltas", args.deltas)),
         duration=args.duration,
         turn_magnitude=args.turn,
         pulse_scale=args.pulse_scale,

@@ -12,7 +12,8 @@ Grammar (INI as read by configparser, no interpolation):
     dir = runs/exp
 
 Unknown sections or keys are rejected outright so typos cannot silently
-fall back to defaults.  ``--set section.key=value`` overrides reuse the
+fall back to defaults.  The file must be UTF-8; every error in it names
+the file, and the line where configparser reports one.  ``--set section.key=value`` overrides reuse the
 same schema.  The config hash is the first 12 hex digits of a sha256
 over the sorted canonical ``section.key=value`` lines, so any change of
 any effective setting changes the hash.
@@ -25,7 +26,8 @@ import dataclasses
 import hashlib
 import os
 
-from .errors import ConfigError
+from .data import read_text
+from .errors import ConfigError, ParseError
 from .model import ModelConfig
 
 ENV_OUTPUT_DIR = "REVERB_OUTPUT_DIR"
@@ -166,26 +168,44 @@ def _apply(cfg: RunConfig, section: str, key: str, value):
         setattr(cfg, key, value)
 
 
+def _apply_file(cfg: RunConfig, path):
+    """Apply a UTF-8 INI file to ``cfg``; errors give the line where one
+    is known, and ``load_config`` prefixes the path."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(read_text(path), source=str(path))
+    except OSError as e:
+        raise ConfigError(f"config file not found or unreadable ({e.strerror})") from None
+    except ParseError as e:
+        raise ConfigError(str(e).removeprefix(f"{path}: ")) from None
+    except configparser.Error as e:
+        if getattr(e, "errors", None):  # lines that are not "key = value"
+            line, what = e.errors[0][0], f"cannot parse {e.errors[0][1]}"
+        else:  # no section header, or a repeated section or key
+            line, what = e.lineno, e.message.splitlines()[0].split("]: ", 1)[-1]
+        raise ConfigError(f"line {line}: {what}") from None
+    unknown = []
+    for section in parser.sections():
+        if section not in SCHEMA:
+            unknown.append(f"[{section}]")
+            continue
+        for key, raw in parser.items(section):
+            if key not in SCHEMA[section]:
+                unknown.append(f"[{section}] {key}")
+            else:
+                _apply(cfg, section, key, _convert(section, key, raw))
+    if unknown:
+        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+
+
 def load_config(path=None, overrides=()) -> RunConfig:
     """Build a RunConfig from an optional INI file plus --set overrides."""
     cfg = RunConfig()
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
-        unknown = []
-        for section in parser.sections():
-            if section not in SCHEMA:
-                unknown.append(f"[{section}]")
-                continue
-            for key, raw in parser.items(section):
-                if key not in SCHEMA[section]:
-                    unknown.append(f"[{section}] {key}")
-                else:
-                    _apply(cfg, section, key, _convert(section, key, raw))
-        if unknown:
-            raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+        try:
+            _apply_file(cfg, path)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from None
     for spec in overrides:
         if "=" not in spec or "." not in spec.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {spec!r}")

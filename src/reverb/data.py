@@ -21,6 +21,7 @@ vanishes too and the motion is exactly linear.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -69,46 +70,62 @@ class Sample:
     offset: np.ndarray | None = None
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; other bytes raise ParseError with
+    path:line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text ({e.reason} at byte offset {e.start})",
+                         path=path, line=data.count(b"\n", 0, e.start) + 1) from None
+
+
+def _data_lines(path):
+    """(line number, stripped text) of each non-blank, non-comment line."""
+    for line_no, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield line_no, text
+
+
 def load_scene(path, dt: float = 0.4, scene_id: str | None = None) -> Scene:
     """Parse one whitespace-separated scene file (frame agent x y);
     malformed rows raise with their line number."""
     rows = {}
     seen = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 4:
+    for line_no, text in _data_lines(path):
+        parts = text.split()
+        if len(parts) != 4:
+            raise ParseError(
+                f"expected 4 columns (frame agent x y), got {len(parts)}",
+                path=path, line=line_no,
+            )
+        numbers = []
+        for col, token in ((1, parts[0]), (3, parts[2]), (4, parts[3])):
+            try:
+                numbers.append(float(token))
+            except ValueError:
                 raise ParseError(
-                    f"expected 4 columns (frame agent x y), got {len(parts)}",
+                    f"column {col}: {token!r} is not a number",
+                    path=path, line=line_no,
+                ) from None
+            if not math.isfinite(numbers[-1]):
+                raise ParseError(
+                    f"column {col}: {token!r} is not finite",
                     path=path, line=line_no,
                 )
-            numbers = []
-            for col, token in ((1, parts[0]), (3, parts[2]), (4, parts[3])):
-                try:
-                    numbers.append(float(token))
-                except ValueError:
-                    raise ParseError(
-                        f"column {col}: {token!r} is not a number",
-                        path=path, line=line_no,
-                    ) from None
-                if not math.isfinite(numbers[-1]):
-                    raise ParseError(
-                        f"column {col}: {token!r} is not finite",
-                        path=path, line=line_no,
-                    )
-            frame, x, y = numbers
-            agent = parts[1]
-            if (agent, frame) in seen:
-                raise ParseError(
-                    f"duplicate (agent {agent!r}, frame {frame:g}); "
-                    f"first seen on line {seen[(agent, frame)]}",
-                    path=path, line=line_no,
-                )
-            seen[(agent, frame)] = line_no
-            rows.setdefault(agent, []).append((frame, x, y))
+        frame, x, y = numbers
+        agent = parts[1]
+        if (agent, frame) in seen:
+            raise ParseError(
+                f"duplicate (agent {agent!r}, frame {frame:g}); "
+                f"first seen on line {seen[(agent, frame)]}",
+                path=path, line=line_no,
+            )
+        seen[(agent, frame)] = line_no
+        rows.setdefault(agent, []).append((frame, x, y))
     tracklets = []
     stride = _scene_stride(rows)
     for agent in sorted(rows):
@@ -375,15 +392,11 @@ def load_split_manifest(path) -> dict:
 
     base = os.path.dirname(os.path.abspath(path))
     splits: dict = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split(None, 1)
-            if len(parts) != 2:
-                raise ParseError("expected '<split> <path>'", path=path, line=line_no)
-            tag, rel = parts
-            full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            splits.setdefault(tag, []).append(full)
+    for line_no, text in _data_lines(path):
+        parts = text.split(None, 1)
+        if len(parts) != 2:
+            raise ParseError("expected '<split> <path>'", path=path, line=line_no)
+        tag, rel = parts
+        full = rel if os.path.isabs(rel) else os.path.join(base, rel)
+        splits.setdefault(tag, []).append(full)
     return splits

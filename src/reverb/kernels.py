@@ -68,14 +68,6 @@ def sequential_similarity(f: np.ndarray) -> np.ndarray:
     return np.einsum("td,ud->tud", f, f)
 
 
-def bound_kernel(raw: np.ndarray) -> np.ndarray:
-    """Elementwise tanh bounding into (-1, 1)."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if not np.isfinite(raw).all():
-        raise DomainError("raw kernel contains NaN or infinite values")
-    return np.tanh(raw)
-
-
 def reverberation_transform(sim: np.ndarray, kernels: ReverbKernelPair) -> np.ndarray:
     """Apply the kernel pair to a similarity tensor.
 
@@ -111,10 +103,6 @@ class RankReport:
     rank_g: int
     rank_sim: list = field(default_factory=list)
     rank_out: list = field(default_factory=list)
-
-    @property
-    def rank_out_max(self) -> int:
-        return max(self.rank_out, default=0)
 
 
 def rank_report(kernels: ReverbKernelPair, sim: np.ndarray) -> RankReport:

@@ -70,12 +70,3 @@ def linear_fit(x, t_f: int) -> LinearFit:
         predicted=_design(t_h + 1, t_f) @ w,
     )
 
-
-def residual(x, fit: LinearFit) -> np.ndarray:
-    """Observation minus its fitted affine motion, elementwise."""
-    values = _values(x)
-    if values.shape != fit.fitted.shape:
-        raise ShapeError(
-            f"sequence shape {values.shape} does not match fit {fit.fitted.shape}"
-        )
-    return values - fit.fitted

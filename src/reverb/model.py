@@ -23,11 +23,13 @@ builds the (B, rows, rows, d) tensor F.  ``kernels.reverberation_transform``
 stays the general-F oracle this closed form is tested against.
 
 There is one path from samples to forecast, and it is batched:
-``encode`` stacks every ego and neighbor window of a batch and runs the
-linear fit, the transforms and the partitioning once on the stack;
-``forward`` runs both branches on the whole batch and reports each
-branch's kernels and delta in its ``info`` dict.  A single sample is a
-batch of one.
+``encode`` stacks every ego window of a batch, and every neighbor window
+as one ego-neighbor pair, and runs the linear fit, the transforms and
+the partitioning once on each stack; ``forward`` runs both branches on
+the whole batch and reports each branch's kernels and delta in its
+``info`` dict.  A single sample is a batch of one.  The social branch
+stores one row block per pair (the neighbor's own-frame spectrum) and
+reads the pair's ego side from ``spec_x``.
 
 Branch and kernel toggles reproduce the ablation grid.  A disabled
 branch contributes an exact zero delta (shapes stay fixed, and no
@@ -132,9 +134,14 @@ class ModelConfig:
 class EncodedBatch:
     """Numpy-side encoding of a list of preprocessed samples.
 
-    Social fields index into ``own_spec`` (one row block per agent,
-    egos first within each sample) and are empty arrays when the batch
-    has no neighbors.
+    The social fields hold one entry per ego-neighbor pair, grouped by
+    sample: ``nbr_spec`` (P, T_h, M) is the neighbor's own-frame
+    spectrum, ``pair_sample`` (P,) the sample it belongs to and
+    ``pair_rows`` (P, T_h) its bucket per spectrum row.  The ego side of
+    a pair is ``spec_x[pair_sample]``: a preprocessed ego already ends
+    at the origin, so its own-frame spectrum is ``spec_x`` itself.  The
+    fields are None when the social branch is off and have P = 0 when
+    the batch has no neighbors.
     """
 
     samples: list
@@ -144,10 +151,7 @@ class EncodedBatch:
     y_lin: np.ndarray
     gt: np.ndarray
     offsets: np.ndarray
-    own_spec: np.ndarray | None = None
-    own_sample: np.ndarray | None = None
-    pair_ego: np.ndarray | None = None
-    pair_nbr: np.ndarray | None = None
+    nbr_spec: np.ndarray | None = None
     pair_sample: np.ndarray | None = None
     pair_rows: np.ndarray | None = None
 
@@ -166,18 +170,12 @@ class EncodedBatch:
             gt=self.gt[idx],
             offsets=self.offsets[idx],
         )
-        if self.own_spec is None:
+        if self.nbr_spec is None:
             return out
         new_pos = -np.ones(self.size, dtype=np.int64)
         new_pos[idx] = np.arange(len(idx))
-        own_keep = np.flatnonzero(new_pos[self.own_sample] >= 0)
-        row_map = -np.ones(self.own_spec.shape[0], dtype=np.int64)
-        row_map[own_keep] = np.arange(len(own_keep))
         pair_keep = np.flatnonzero(new_pos[self.pair_sample] >= 0)
-        out.own_spec = self.own_spec[own_keep]
-        out.own_sample = new_pos[self.own_sample[own_keep]]
-        out.pair_ego = row_map[self.pair_ego[pair_keep]]
-        out.pair_nbr = row_map[self.pair_nbr[pair_keep]]
+        out.nbr_spec = self.nbr_spec[pair_keep]
         out.pair_sample = new_pos[self.pair_sample[pair_keep]]
         out.pair_rows = self.pair_rows[pair_keep]
         return out
@@ -271,7 +269,8 @@ class ReverbPredictor:
     # Encoding (numpy side)
 
     def encode(self, samples) -> EncodedBatch:
-        """Preprocess samples and encode them as one stack of agent windows."""
+        """Preprocess samples and encode the egos and the ego-neighbor pairs
+        as one stack each."""
         c = self.config
         prepped = [preprocess(raw) for raw in samples]
         for b, s in enumerate(prepped):
@@ -301,19 +300,12 @@ class ReverbPredictor:
             offsets=np.stack([s.offset for s in prepped]),
         )
         if c.use_soc:
-            agents = np.stack([v.values for s in prepped for v in (s.ego, *s.neighbors)])
-            per_sample = np.array([1 + len(s.neighbors) for s in prepped], dtype=np.int64)
-            ego_row = np.cumsum(per_sample) - per_sample
-            batch.own_sample = np.repeat(np.arange(len(prepped), dtype=np.int64), per_sample)
-            batch.pair_nbr = np.flatnonzero(
-                np.arange(len(agents)) != ego_row[batch.own_sample]
-            )
-            batch.pair_sample = batch.own_sample[batch.pair_nbr]
-            batch.pair_ego = ego_row[batch.pair_sample]
-            batch.own_spec = self.social.own_spectrum(agents)
-            batch.pair_rows = self.social.row_partitions(
-                agents[batch.pair_ego], agents[batch.pair_nbr]
-            )
+            nbr = np.reshape([v.values for s in prepped for v in s.neighbors],
+                             (-1, c.t_h, c.m))
+            batch.pair_sample = np.repeat(np.arange(len(prepped), dtype=np.int64),
+                                          [len(s.neighbors) for s in prepped])
+            batch.nbr_spec = self.social.own_spectrum(nbr)
+            batch.pair_rows = self.social.row_partitions(ego[batch.pair_sample], nbr)
         return batch
 
     def draw_noise(self, rng) -> dict:
@@ -381,13 +373,17 @@ class ReverbPredictor:
         return self._rehearse(feats, r, g, branch.decode), r, g
 
     def _social_rows(self, batch: EncodedBatch) -> T.Tensor:
-        """Pooled pair features, (B, N_theta*T_h, d), bucket-major rows."""
+        """Pooled pair features, (B, N_theta*T_h, d), bucket-major rows.
+
+        One embedding call covers ``spec_x`` stacked over ``nbr_spec``:
+        rows ``:B`` are the egos, row ``B + p`` is pair ``p``'s neighbor.
+        """
         c = self.config
-        own = self.social.embed_own(T.Tensor(batch.own_spec))
-        e_i = T.index_select(own, batch.pair_ego, axis=0)
-        e_j = T.index_select(own, batch.pair_nbr, axis=0)
+        own = self.social.embed_own(T.Tensor(np.concatenate([batch.spec_x, batch.nbr_spec])))
+        e_i = T.index_select(own, batch.pair_sample, axis=0)
+        e_j = own[batch.size:]
         pf = self.social.embed_pair(e_i * e_j)
-        n_pairs = batch.pair_ego.shape[0]
+        n_pairs = batch.pair_sample.shape[0]
         flat = T.reshape(pf, (n_pairs * c.hist_rows, c.d))
         t_idx = np.broadcast_to(np.arange(c.hist_rows), (n_pairs, c.hist_rows))
         seg = (batch.pair_sample[:, None] * c.soc_rows

@@ -10,9 +10,11 @@ The encoder embeds each agent's own-frame spectrum (sequence translated
 so its own last observed point is the origin), forms elementwise
 products of ego and neighbor embeddings, runs those through a second
 embedding, and averages per bucket.  The numpy side works on stacks:
-``own_spectrum`` and ``row_partitions`` take every agent (or every
-ego/neighbor pair) of a batch in one call.  The pooling itself lives in
-``ReverbPredictor._social_rows``, which lays the result out
+``own_spectrum`` and ``row_partitions`` take every ego-neighbor pair of
+a batch in one call.  Only the neighbors need ``own_spectrum``: a
+preprocessed ego already ends at the origin, so its own-frame spectrum
+is the ego spectrum the model encodes anyway.  The pooling itself lives
+in ``ReverbPredictor._social_rows``, which lays the result out
 bucket-major: flat row ``n * T_h + t``.
 """
 

@@ -60,15 +60,6 @@ class TimeSeq:
     dt: float
 
 
-@dataclass
-class Spectrum:
-    """Transformed sequence: ``values`` is ``(T, M)`` laid out per ``kind``."""
-
-    values: np.ndarray
-    kind: str
-    dt: float
-
-
 def check_kind(kind: str) -> str:
     if kind not in KINDS:
         raise ConfigError(f"unknown transform kind {kind!r}, expected one of {KINDS}")
@@ -114,14 +105,6 @@ def inverse_values(values: np.ndarray, kind: str) -> np.ndarray:
     if kind == "db2":
         return _db2_inverse(s)
     return _dft_inverse(s)
-
-
-def forward(seq: TimeSeq, kind: str) -> Spectrum:
-    return Spectrum(forward_values(seq.values, kind), kind, seq.dt)
-
-
-def inverse(spec: Spectrum) -> TimeSeq:
-    return TimeSeq(inverse_values(spec.values, spec.kind), spec.dt)
 
 
 @functools.lru_cache(maxsize=None)

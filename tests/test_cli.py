@@ -1,11 +1,16 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from reverb import cli
+from reverb.config import load_config
+from reverb.model import ReverbPredictor
+from reverb.nn.optim import Adam
+from reverb.train import save_checkpoint
 
 
 def run(argv):
@@ -107,6 +112,86 @@ def test_non_finite_scene_is_data_error(tmp_path, capsys):
     ini.write_text(f"[data]\nmanifest = {manifest}\n")
     assert run(["train", "--config", str(ini)]) == 2
     assert f"{scene}: line 2" in capsys.readouterr().err
+
+
+def valid_inputs(tmp_path):
+    """A config, manifest, scene and checkpoint that train --resume accepts."""
+    files = {name: tmp_path / name
+             for name in ("run.ini", "manifest.txt", "scene.tsv", "model.bin")}
+    files["scene.tsv"].write_text("".join(
+        f"{f} a{k} {0.5 * f} {k + 0.1 * f}\n" for f in range(1, 11) for k in range(2)))
+    files["manifest.txt"].write_text("train scene.tsv\ntest scene.tsv\n")
+    files["run.ini"].write_text(TINY_INI.format(manifest=files["manifest.txt"],
+                                                out=tmp_path / "out"))
+    cfg = load_config(str(files["run.ini"]))
+    model = ReverbPredictor(cfg.model, seed=cfg.seed)
+    save_checkpoint(str(files["model.bin"]), model, Adam(model.store, lr=cfg.lr), 1, cfg)
+    return files
+
+
+# case -> (file to edit, regex, replacement, exit code, file the message
+# names, text the message holds).  Each regex edits a valid input once.
+MALFORMED_INPUTS = {
+    "scene_truncated_row": ("scene.tsv", rb"^(\S+ \S+ \S+) \S+", rb"\1", 2,
+                            "scene.tsv", "line 1"),
+    "scene_non_finite": ("scene.tsv", rb"^(\S+ \S+) \S+", rb"\1 inf", 2,
+                         "scene.tsv", "line 1"),
+    "scene_non_utf8": ("scene.tsv", rb"\n1 a1 ", b"\n1 a\xff ", 2,
+                       "scene.tsv", "line 2"),
+    "manifest_bad_line": ("manifest.txt", rb"^train scene.tsv", b"train", 2,
+                          "manifest.txt", "line 1"),
+    "manifest_missing_scene": ("manifest.txt", rb"^train scene", b"train missing", 2,
+                               "missing.tsv", "No such file"),
+    "manifest_non_utf8": ("manifest.txt", rb"^", b"# \xe9t\xe9\n", 2,
+                          "manifest.txt", "line 1"),
+    "config_no_section_header": ("run.ini", rb"^\[model\]\n", b"", 1,
+                                 "run.ini", "line 1"),
+    "config_duplicate_key": ("run.ini", rb"\nd = 8\n", b"\nd = 8\nd = 16\n", 1,
+                             "run.ini", "line 5"),
+    "config_bad_value": ("run.ini", rb"\nd = 8", b"\nd = abc", 1,
+                         "run.ini", "cannot read 'abc'"),
+    "config_non_utf8": ("run.ini", rb"\nd = 8\n", b"\nd = 8\n# \xff\n", 1,
+                        "run.ini", "line 5"),
+    "checkpoint_bad_magic": ("model.bin", rb"^REVERB-CKPT 1", b"REVERB-CKPT 7", 2,
+                             "model.bin", "bad magic"),
+    "checkpoint_truncated_manifest": ("model.bin", rb"(?s)\ntensor .*", b"\n", 2,
+                                      "model.bin", "truncated manifest"),
+    "checkpoint_bad_shape": ("model.bin", rb"(tensor \S+ float32 )[0-9,]+",
+                             rb"\g<1>2,x", 2, "model.bin", "shape"),
+    "checkpoint_blob_overrun": ("model.bin", rb"(tensor \S+ float32 [0-9,]+ )\d+",
+                                rb"\g<1>999999999", 2, "model.bin", "overruns"),
+    "checkpoint_missing_epoch": ("model.bin", rb"meta epoch \d+\n", b"", 2,
+                                 "model.bin", "epoch"),
+    "checkpoint_missing_adam_t": ("model.bin", rb"meta adam_t \d+\n", b"", 2,
+                                  "model.bin", "adam_t"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_code_and_message(tmp_path, capsys, case):
+    target, pattern, repl, code, named, text = MALFORMED_INPUTS[case]
+    files = valid_inputs(tmp_path)
+    edited, n = re.subn(pattern, repl, files[target].read_bytes(), count=1)
+    assert n == 1
+    files[target].write_bytes(edited)
+    capsys.readouterr()
+    assert run(["train", "--config", str(files["run.ini"]),
+                "--resume", str(files["model.bin"]), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert str(tmp_path / named) in err
+    assert text in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--deltas", "0,x"],
+    ["ablate", "--seeds", "1,two"],
+    ["curves", "--checkpoint", "none.bin", "--generations", "1,2.5"],
+])
+def test_non_integer_list_flag_is_usage_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{argv[-2]}: {argv[-1].split(',')[1]!r} is not an integer" in err
 
 
 def test_synth_layout(corpus):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from reverb.errors import DomainError, InsufficientDataError, ShapeError
-from reverb.linear import linear_fit, residual
+from reverb.linear import linear_fit
 from reverb.transforms import TimeSeq
 
 
@@ -27,7 +27,7 @@ class TestExamples:
         fit = linear_fit(x, t_f=2)
         assert_allclose(fit.predicted, [[4.0, 8.0], [5.0, 10.0]], atol=1e-12)
         assert_allclose(fit.fitted, x, atol=1e-12)
-        assert_allclose(residual(x, fit), 0.0, atol=1e-12)
+        assert_allclose(x - fit.fitted, 0.0, atol=1e-12)
 
     def test_one_based_design_pins_the_weights(self):
         # values t-1 at times t = 1..3 give intercept -1, slope 1 in the
@@ -71,7 +71,7 @@ class TestProperties:
         x = rng.normal(size=(8, 2))
         fit = linear_fit(x, t_f=4)
         a_h = np.stack([np.ones(8), np.arange(1, 9, dtype=float)], axis=1)
-        assert np.abs(a_h.T @ residual(x, fit)).max() <= 1e-9
+        assert np.abs(a_h.T @ (x - fit.fitted)).max() <= 1e-9
 
     def test_idempotence(self):
         rng = np.random.default_rng(23)
@@ -110,11 +110,6 @@ class TestErrors:
     def test_zero_horizon_rejected(self):
         with pytest.raises(ShapeError):
             linear_fit(np.zeros((4, 2)), t_f=0)
-
-    def test_residual_shape_mismatch(self):
-        fit = linear_fit(np.zeros((4, 2)), t_f=2)
-        with pytest.raises(ShapeError):
-            residual(np.zeros((5, 2)), fit)
 
 
 class TestStacked:

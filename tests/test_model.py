@@ -370,17 +370,14 @@ class TestBatching:
         model = ReverbPredictor(cfg, seed=38)
         samples = [make_sample(seed=80 + i, n_neighbors=n) for i, n in enumerate((2, 0, 3, 1))]
         batch = model.encode(samples)
-        assert batch.own_sample.tolist() == [0, 0, 0, 1, 2, 2, 2, 2, 3, 3]
-        assert batch.pair_ego.tolist() == [0, 0, 4, 4, 4, 8]
+        assert batch.pair_sample.tolist() == [0, 0, 2, 2, 2, 3]
         for b, s in enumerate(samples):
             one = model.encode([s])
             for name in ("spec_x", "spec_lin", "spec_res", "y_lin", "gt", "offsets"):
                 assert getattr(batch, name)[b].tobytes() == getattr(one, name)[0].tobytes()
-            own = np.flatnonzero(batch.own_sample == b)
             pairs = np.flatnonzero(batch.pair_sample == b)
-            assert batch.own_spec[own].tobytes() == one.own_spec.tobytes()
-            np.testing.assert_array_equal(batch.pair_ego[pairs] - own[0], one.pair_ego)
-            np.testing.assert_array_equal(batch.pair_nbr[pairs] - own[0], one.pair_nbr)
+            assert batch.nbr_spec[pairs].tobytes() == one.nbr_spec.tobytes()
+            assert one.pair_sample.tolist() == [0] * len(s.neighbors)
             np.testing.assert_array_equal(batch.pair_rows[pairs], one.pair_rows)
             assert one.pair_rows.shape == (len(s.neighbors), cfg.hist_rows)
             assert one.pair_rows.dtype == np.int64

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reverb import transforms
-from reverb.data import Sample
+from reverb.data import Sample, preprocess
 from reverb.errors import ConfigError
 from reverb.model import ModelConfig, ReverbPredictor
 from reverb.nn import tensor as T
@@ -45,6 +45,13 @@ def pooled(model, ego, neighbors):
     with T.no_grad():
         rows = model._social_rows(model.encode([make_sample(ego, neighbors)]))
     return rows.data[0].reshape(c.n_theta, c.hist_rows, c.d)
+
+
+def embeddings(model, batch):
+    """Own-frame embeddings of a batch's egos and of its pair neighbors."""
+    with T.no_grad():
+        return (model.social.embed_own(T.Tensor(batch.spec_x)).data,
+                model.social.embed_own(T.Tensor(batch.nbr_spec)).data)
 
 
 def bucket(ego_xy, nbr_xy, n_theta=8):
@@ -131,10 +138,10 @@ class TestFlatten:
         ego = straight_walk([0.0, 0.0], [1.0, 0.5], 4)
         nbr = ego + np.array([[0.0, 2.0], [0.0, 2.0], [0.0, -2.0], [0.0, -2.0]])
         batch = model.encode([make_sample(ego, [nbr])])
+        ego_e, nbr_e = embeddings(model, batch)
         with T.no_grad():
             flat = model._social_rows(batch).data[0]
-            e = model.social.embed_own(T.Tensor(batch.own_spec)).data
-            pair = model.social.embed_pair(T.Tensor(e[0] * e[1])).data
+            pair = model.social.embed_pair(T.Tensor(ego_e[0] * nbr_e[0])).data
         want = np.zeros_like(flat)
         for n, t in ((2, 0), (2, 1), (6, 2), (6, 3)):
             want[n * 4 + t] = pair[t]
@@ -178,25 +185,39 @@ class TestOwnSpectrum:
         e = enc.embed_own(T.Tensor(enc.own_spectrum(np.stack([seq, shifted])))).data
         np.testing.assert_allclose(e[0], e[1], atol=1e-12)
 
+    @pytest.mark.parametrize("kind", transforms.KINDS)
+    def test_ego_own_spectrum_is_spec_x(self, kind):
+        # _social_rows takes each pair's ego side from spec_x; that is exact
+        # because a preprocessed ego already ends at the origin.
+        model = make_model(kind=kind)
+        rng = np.random.default_rng(4)
+        samples = [make_sample(rng.normal(size=(4, 2)) * 3.0 + rng.normal(size=2) * 50.0,
+                               [rng.normal(size=(4, 2))]) for _ in range(5)]
+        batch = model.encode(samples)
+        egos = np.stack([preprocess(s).ego.values for s in samples])
+        assert model.social.own_spectrum(egos).tobytes() == batch.spec_x.tobytes()
+
     def test_identical_agents_identical_embeddings(self):
         model = make_model()
         ego = straight_walk([0.0, 0.0], [1.0, 0.0], 4)
         seq = straight_walk([1.0, 2.0], [0.5, -0.2], 4)
         batch = model.encode([make_sample(ego, [seq, seq.copy()])])
-        with T.no_grad():
-            e = model.social.embed_own(T.Tensor(batch.own_spec)).data
-        np.testing.assert_array_equal(e[batch.pair_nbr[0]], e[batch.pair_nbr[1]])
+        _, nbr_e = embeddings(model, batch)
+        np.testing.assert_array_equal(nbr_e[0], nbr_e[1])
 
 
 class TestPairFeature:
     def test_product_symmetry(self):
+        # One neighbor per sample, so pair p is (ego p, neighbor p) and
+        # swapping the ego and neighbor spectra swaps the pair's factors.
         model = make_model()
         rng = np.random.default_rng(3)
         ego = straight_walk([0.0, 0.0], [0.7, 0.1], 4)
-        batch = model.encode([make_sample(ego, [ego + rng.normal(size=2) for _ in range(3)])])
+        batch = model.encode([make_sample(ego, [ego + rng.normal(size=2)]) for _ in range(3)])
+        assert batch.pair_sample.tolist() == [0, 1, 2]
         with T.no_grad():
             a = model._social_rows(batch).data
-            batch.pair_ego, batch.pair_nbr = batch.pair_nbr, batch.pair_ego
+            batch.spec_x, batch.nbr_spec = batch.nbr_spec, batch.spec_x
             b = model._social_rows(batch).data
         np.testing.assert_array_equal(a, b)
 
@@ -206,9 +227,9 @@ class TestPairFeature:
         nbr = straight_walk([0.5, 2.0], [0.3, -0.4], 4)
         assert bucket(ego, nbr) == 2
         batch = model.encode([make_sample(ego, [nbr])])
+        ego_e, nbr_e = embeddings(model, batch)
         with T.no_grad():
-            e = model.social.embed_own(T.Tensor(batch.own_spec)).data
-            want = model.social.embed_pair(T.Tensor(e[0] * e[1])).data
+            want = model.social.embed_pair(T.Tensor(ego_e[0] * nbr_e[0])).data
         np.testing.assert_allclose(pooled(model, ego, [nbr])[2], want, atol=1e-12)
 
     def test_zero_neighbor_gives_bias_only(self):

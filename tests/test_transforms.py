@@ -109,16 +109,6 @@ class TestRoundTrip:
             back = transforms.inverse_values(transforms.forward_values(x, kind), kind)
             assert np.abs(back - x).max() <= tol
 
-    @pytest.mark.parametrize("kind", ["haar", "dft", "db2", "none"])
-    def test_dataclass_wrappers_carry_dt(self, kind):
-        rng = np.random.default_rng(13)
-        seq = transforms.TimeSeq(rng.normal(size=(8, 2)), dt=0.4)
-        spec = transforms.forward(seq, kind)
-        assert spec.kind == kind and spec.dt == 0.4
-        back = transforms.inverse(spec)
-        assert back.dt == 0.4
-        assert_allclose(back.values, seq.values, atol=1e-9)
-
 
 class TestLinearity:
     @pytest.mark.parametrize("kind", ["haar", "dft", "db2", "none"])
