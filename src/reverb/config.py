@@ -3,7 +3,8 @@
 Grammar (INI as read by configparser, no interpolation):
 
     [model]
-    t_h = 8            ; horizons, feature dims, toggles (see SCHEMA)
+    ; horizons, feature dims, toggles (see SCHEMA)
+    t_h = 8
     [train]
     lr = 3e-4
     [data]

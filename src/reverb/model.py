@@ -134,14 +134,14 @@ class ModelConfig:
 class EncodedBatch:
     """Numpy-side encoding of a list of preprocessed samples.
 
-    The social fields hold one entry per ego-neighbor pair, grouped by
-    sample: ``nbr_spec`` (P, T_h, M) is the neighbor's own-frame
-    spectrum, ``pair_sample`` (P,) the sample it belongs to and
-    ``pair_rows`` (P, T_h) its bucket per spectrum row.  The ego side of
-    a pair is ``spec_x[pair_sample]``: a preprocessed ego already ends
-    at the origin, so its own-frame spectrum is ``spec_x`` itself.  The
-    fields are None when the social branch is off and have P = 0 when
-    the batch has no neighbors.
+    The social fields hold one entry per ego-neighbor pair, in one
+    contiguous block per sample, in sample order: ``nbr_spec`` (P, T_h, M)
+    is the neighbor's own-frame spectrum, ``pair_sample`` (P,) the sample
+    it belongs to and ``pair_rows`` (P, T_h) its bucket per spectrum row.
+    The ego side of a pair is ``spec_x[pair_sample]``: a preprocessed ego
+    already ends at the origin, so its own-frame spectrum is ``spec_x``
+    itself.  The fields are None when the social branch is off and have
+    P = 0 when the batch has no neighbors.
     """
 
     samples: list
@@ -172,11 +172,14 @@ class EncodedBatch:
         )
         if self.nbr_spec is None:
             return out
-        new_pos = -np.ones(self.size, dtype=np.int64)
-        new_pos[idx] = np.arange(len(idx))
-        pair_keep = np.flatnonzero(new_pos[self.pair_sample] >= 0)
+        # Each requested sample's contiguous pair block, in request order,
+        # so a repeated index gets its neighbours in every copy.
+        counts = np.bincount(self.pair_sample, minlength=self.size)
+        starts = np.cumsum(counts) - counts
+        n = counts[idx]
+        pair_keep = np.repeat(starts[idx] - (np.cumsum(n) - n), n) + np.arange(n.sum())
         out.nbr_spec = self.nbr_spec[pair_keep]
-        out.pair_sample = new_pos[self.pair_sample[pair_keep]]
+        out.pair_sample = np.repeat(np.arange(len(idx), dtype=np.int64), n)
         out.pair_rows = self.pair_rows[pair_keep]
         return out
 

@@ -4,6 +4,14 @@ Every op records its parents and a vector-Jacobian closure; ``backward``
 runs one reverse topological sweep, accumulating gradients into leaves.
 All data is float64.  Gradient accumulation order is fixed by graph
 construction order, so repeated runs are bit-identical.
+
+The vjps do only the gradient work ``backward`` keeps: an operand with
+``requires_grad=False`` (a constant such as a scale factor, a lookup
+table or input data) gets ``None`` from ``add``/``sub``/``mul``/``div``/
+``matmul``, so its gradient is never computed.  A shared 2-d weight
+``b`` in ``a @ b`` gets its gradient from one flat GEMM over every
+leading axis of ``a``, ``a.reshape(-1, k).T @ g.reshape(-1, n)``, never
+from a stack of per-slice products summed away afterwards.
 """
 
 from __future__ import annotations
@@ -167,7 +175,10 @@ def add(a, b) -> Tensor:
     return _make(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -176,7 +187,10 @@ def sub(a, b) -> Tensor:
     return _make(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -186,8 +200,8 @@ def mul(a, b) -> Tensor:
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         ),
     )
 
@@ -198,8 +212,8 @@ def div(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * out_data / b.data, b.shape),
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * out_data / b.data, b.shape) if b.requires_grad else None,
         )
 
     return _make(out_data, (a, b), vjp)
@@ -216,9 +230,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul operands must be at least 2-d")
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad and b.ndim == 2:
+            # a shared weight: one GEMM over every leading axis of ``a``
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
 
     return _make(a.data @ b.data, (a, b), vjp)
 

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from reverb.errors import ShapeError
 from reverb.nn import tensor as T
 from reverb.nn.gradcheck import grad_check
+from reverb.nn.layers import Dense, ParameterStore
 
 
 def leaf(rng, shape, scale=1.0):
@@ -89,6 +90,27 @@ class TestMatmul:
         w = leaf(rng, (4, 6))
         check(lambda: T.sum_(T.tanh(T.matmul(a, w))), {"a": a, "w": w})
 
+    @pytest.mark.parametrize("lead", [(5,), (3, 4)])
+    def test_flat_weight_gradient_equals_per_slice_sum(self, lead):
+        rng = np.random.default_rng(56)
+        a = leaf(rng, lead + (6, 4))
+        w = leaf(rng, (4, 3))
+        g = rng.normal(size=lead + (6, 3))
+        T.backward(T.matmul(a, w), seed=g)
+        a_slices = a.data.reshape((-1, 6, 4))
+        g_slices = g.reshape((-1, 6, 3))
+        want = sum(a_b.T @ g_b for a_b, g_b in zip(a_slices, g_slices))
+        assert_allclose(w.grad, want, rtol=1e-12, atol=0)
+        assert_allclose(a.grad, g @ w.data.T, rtol=1e-12, atol=0)
+
+    def test_dense_on_4d_input(self):
+        rng = np.random.default_rng(57)
+        store = ParameterStore(seed=57)
+        layer = Dense(store, "dense", 4, 3, "tanh")
+        x = leaf(rng, (2, 3, 5, 4))
+        check(lambda: T.sum_(layer(x) * layer(x)),
+              {"w": layer.w, "b": layer.b, "x": x})
+
     def test_vector_operands_rejected(self):
         with pytest.raises(ShapeError):
             T.matmul(T.Tensor(np.zeros(3)), T.Tensor(np.zeros((3, 2))))
@@ -168,6 +190,21 @@ class TestGraphMechanics:
     def test_constants_do_not_require_grad(self):
         y = T.Tensor(np.ones(3)) * 2.0
         assert not y.requires_grad
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.matmul])
+    @pytest.mark.parametrize("const_slot", [0, 1])
+    def test_constant_operand_gets_no_gradient(self, op, const_slot):
+        rng = np.random.default_rng(58)
+        operands = [T.Tensor(rng.uniform(1.0, 2.0, size=(2, 3, 3))) for _ in range(2)]
+        operands[1 - const_slot].requires_grad = True
+        const, var = operands[const_slot], operands[1 - const_slot]
+        out = op(*operands)
+        slots = out._vjp(np.ones(out.shape))
+        assert slots[const_slot] is None
+        assert slots[1 - const_slot].shape == var.shape
+        T.backward(T.sum_(out))
+        assert const.grad is None
+        assert var.grad is not None
 
     def test_intermediate_grads_are_dropped(self):
         x = T.Tensor(np.ones(3), requires_grad=True)

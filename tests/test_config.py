@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -159,6 +160,18 @@ def test_model_hash_differs_for_same_shaped_variants():
     a = ModelConfig(transform="haar")
     b = ModelConfig(transform="db2")
     assert model_hash(a) != model_hash(b)
+
+
+def test_readme_example_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("## Configuration", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    cfg = load_config(write(tmp_path, block))
+    assert cfg.model == ModelConfig()
+    assert cfg.model.noise_dim is None
+    assert cfg.manifest == "data/manifest.txt"
+    assert cfg.output_dir == "runs/default"
 
 
 def test_output_dir_priority(tmp_path, monkeypatch):

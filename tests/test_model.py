@@ -395,6 +395,35 @@ class TestBatching:
         np.testing.assert_allclose(a.data, b.data, atol=1e-9)
         np.testing.assert_array_equal(sub.gt, fresh.gt)
 
+    def test_subset_with_repeated_index_keeps_neighbours_in_every_copy(self):
+        model = ReverbPredictor(toy_config(), seed=36)
+        samples = [make_sample(seed=70 + i, n_neighbors=n) for i, n in enumerate((2, 0, 3))]
+        batch = model.encode(samples)
+        noise = model.zero_noise()
+        for i in range(len(samples)):
+            twice, once = batch.subset([i, i]), batch.subset([i])
+            n = len(samples[i].neighbors)
+            assert twice.pair_sample.tolist() == [0] * n + [1] * n
+            assert twice.nbr_spec.tobytes() == once.nbr_spec.tobytes() * 2
+            with T.no_grad():
+                two, _ = model.forward(twice, noise)
+                one, _ = model.forward(once, noise)
+            assert two.data[0].tobytes() == two.data[1].tobytes()
+            np.testing.assert_allclose(two.data[0], one.data[0], rtol=0, atol=1e-12)
+
+    def test_permutation_subset_forward_is_byte_identical(self):
+        model = ReverbPredictor(toy_config(), seed=36)
+        samples = [make_sample(seed=90 + i, n_neighbors=n) for i, n in enumerate((2, 0, 3, 1, 1))]
+        batch = model.encode(samples)
+        perm = [3, 0, 4, 2, 1]
+        sub = batch.subset(perm)
+        assert sub.pair_sample.tolist() == [0, 1, 1, 2, 3, 3, 3]
+        noise = model.zero_noise()
+        with T.no_grad():
+            whole, _ = model.forward(batch, noise)
+            part, _ = model.forward(sub, noise)
+        assert part.data.tobytes() == whole.data[perm].tobytes()
+
     def test_uniform_r_and_static_g_modes(self):
         cfg = toy_config(kernel_r=False, kernel_g=False)
         model = ReverbPredictor(cfg, seed=37)
