@@ -27,11 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    ParseError,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .nn.checkpoint import atomic_write
 from .transforms import TimeSeq
 
@@ -359,30 +355,6 @@ def _synth_agent(spec: SynthLatencySpec, rng, delta: int):
     if spec.sigma > 0:
         xy = xy + rng.normal(scale=spec.sigma, size=xy.shape)
     return xy, turn
-
-
-def change_point_frame(xy: np.ndarray) -> int:
-    """1-based frame of the largest per-step heading change (first argmax).
-
-    On noise-free generator output this recovers the planted onset frame
-    exactly: the first rotated step is the step into the onset frame.
-    """
-    xy = np.asarray(xy, dtype=np.float64)
-    if xy.shape[0] < 4:
-        raise InsufficientDataError("need at least 4 points to locate a heading change")
-    steps = np.diff(xy, axis=0)
-    headings = np.arctan2(steps[:, 1], steps[:, 0])
-    dh = np.abs(_wrap_angle(np.diff(headings)))
-    # dh[i] compares the steps into frames i+2 and i+3, so the first
-    # rotated step (into the onset frame o) sits at index o-3.  A steady
-    # turn yields a run of near-ties, so take the first index within
-    # rounding distance of the maximum rather than a strict argmax.
-    first = int(np.flatnonzero(dh >= dh.max() * (1.0 - 1e-9))[0])
-    return first + 3
-
-
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def load_split_manifest(path) -> dict:

@@ -259,8 +259,9 @@ class ReverbPredictor:
             tf=EncoderDecoder(store, f"{name}.tf", c.d, heads=c.tf_heads,
                               layers=c.tf_layers, max_len=rows),
             decode=Dense(store, f"{name}.decode", c.d, c.cols),
-            head_r=Dense(store, f"{name}.head_r", c.d, c.fut_rows) if c.kernel_r else None,
-            head_g=Dense(store, f"{name}.head_g", c.d, c.k_g) if c.kernel_g else None,
+            head_r=(Dense(store, f"{name}.head_r", c.d, c.fut_rows, "tanh")
+                    if c.kernel_r else None),
+            head_g=Dense(store, f"{name}.head_g", c.d, c.k_g, "tanh") if c.kernel_g else None,
             static_g=(None if c.kernel_g
                       else store.add(f"{name}.static_g", (rows, c.k_g), init="xavier")),
         )
@@ -328,21 +329,15 @@ class ReverbPredictor:
         b = self.embed_beta(T.Tensor(batch.spec_lin))
         return (a - b) * 0.5
 
-    def _tile_noise(self, z: np.ndarray, batch_size: int, rows: int) -> T.Tensor:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.config.z_dim,):
-            raise ShapeError(f"noise must be ({self.config.z_dim},), got {z.shape}")
-        return T.Tensor(np.broadcast_to(z, (batch_size, rows, z.shape[0])))
-
     def _kernels(self, branch: _Branch, f: T.Tensor):
         c = self.config
         if branch.head_r is not None:
-            r = T.tanh(branch.head_r(f))
+            r = branch.head_r(f)
         else:
             r = T.Tensor(np.broadcast_to(1.0 / branch.rows,
                                          (f.data.shape[0], branch.rows, c.fut_rows)))
         if branch.head_g is not None:
-            g = T.tanh(branch.head_g(f))
+            g = branch.head_g(f)
         else:
             g = T.reshape(T.tanh(branch.static_g), (1, branch.rows, c.k_g))
         return r, g
@@ -365,11 +360,33 @@ class ReverbPredictor:
         seq = T.matmul(flat, self._inv)
         return T.reshape(seq, (bsz, c.k_g, c.t_f, c.m))
 
+    def _query(self, branch: _Branch, query_parts: list, z: np.ndarray) -> T.Tensor:
+        """The branch's query ``proj([tile(part) ..., z])``, (B, rows, d),
+        with one row slice of ``proj.w`` per part.
+
+        A part with fewer rows than the branch (``e_non`` in the social
+        branch) is projected on its own rows and the product tiled over
+        the partitions; the noise row ``z @ W_z + b`` is computed once
+        and broadcast.  Nothing is tiled before its GEMM.
+        """
+        c, w = self.config, branch.proj.w
+        bsz = query_parts[0].shape[0]
+        qk = T.matmul(T.Tensor(z[None]), w[-z.shape[0]:]) + branch.proj.b
+        start = 0
+        for part in query_parts:
+            width = part.shape[-1]
+            q = T.matmul(part, w[start:start + width])
+            qk = qk + T.reshape(q, (bsz, -1, c.hist_rows, c.d))
+            start += width
+        return T.reshape(qk, (bsz, branch.rows, c.d))
+
     def _branch(self, name: str, batch: EncodedBatch, query_parts: list, z: np.ndarray):
         """One correction branch: (delta (B, K_g, t_f, m), r, g)."""
         branch = self.branches[name]
-        zt = self._tile_noise(z, batch.size, branch.rows)
-        qk = branch.proj(T.concat([*query_parts, zt], axis=2))
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != (self.config.z_dim,):
+            raise ShapeError(f"noise must be ({self.config.z_dim},), got {z.shape}")
+        qk = self._query(branch, query_parts, z)
         mem = branch.value(T.Tensor(batch.spec_res))
         feats = branch.tf(qk, mem)
         r, g = self._kernels(branch, feats)
@@ -410,7 +427,7 @@ class ReverbPredictor:
         for name in self.branches:
             if name == "soc":
                 e_soc = self._social_rows(batch)
-                query_parts = [T.concat([e_non] * c.n_theta, axis=1), e_soc]
+                query_parts = [e_non, e_soc]
             else:
                 query_parts = [e_non]
             delta, r, g = self._branch(name, batch, query_parts, noise[name])

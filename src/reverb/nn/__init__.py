@@ -6,7 +6,7 @@ from . import tensor
 from .checkpoint import load as load_checkpoint
 from .checkpoint import save as save_checkpoint
 from .gradcheck import GradCheckReport, grad_check
-from .layers import MLP, Dense, LayerNorm, ParameterStore, activate
+from .layers import MLP, Dense, LayerNorm, ParameterStore
 from .optim import Adam
 from .tensor import Tensor, backward, no_grad
 from .transformer import EncoderDecoder, sinusoidal_encoding
@@ -20,7 +20,6 @@ __all__ = [
     "MLP",
     "ParameterStore",
     "Tensor",
-    "activate",
     "backward",
     "grad_check",
     "load_checkpoint",

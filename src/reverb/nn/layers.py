@@ -1,4 +1,7 @@
-"""Parameter store and basic layers (dense, MLP, layer norm)."""
+"""Parameter store and basic layers (dense, MLP, layer norm).
+
+``Dense`` and ``LayerNorm`` are one fused tape op each (``T.affine``,
+``T.layer_norm``)."""
 
 from __future__ import annotations
 
@@ -8,9 +11,6 @@ import numpy as np
 
 from ..errors import ConfigError, TrainingError
 from . import tensor as T
-
-ACTIVATIONS = ("none", "tanh", "relu")
-
 
 class ParameterStore:
     """Flat, insertion-ordered store of named trainable tensors.
@@ -87,29 +87,19 @@ class ParameterStore:
             p.data = np.asarray(arrays[name], dtype=np.float64).copy()
 
 
-def activate(x: T.Tensor, activation: str) -> T.Tensor:
-    if activation == "none":
-        return x
-    if activation == "tanh":
-        return T.tanh(x)
-    if activation == "relu":
-        return T.relu(x)
-    raise ConfigError(f"unknown activation {activation!r}, expected one of {ACTIVATIONS}")
-
-
 class Dense:
     """Affine map on the last axis, optional activation."""
 
     def __init__(self, store: ParameterStore, name: str, in_dim: int, out_dim: int,
                  activation: str = "none"):
-        if activation not in ACTIVATIONS:
+        if activation not in T.ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
         self.w = store.add(f"{name}.w", (in_dim, out_dim), "xavier")
         self.b = store.add(f"{name}.b", (out_dim,), "zeros")
         self.activation = activation
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return activate(T.matmul(x, self.w) + self.b, self.activation)
+        return T.affine(x, self.w, self.b, self.activation)
 
 
 class MLP:
@@ -136,7 +126,4 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        mu = T.mean_(x, axis=-1, keepdims=True)
-        centered = x - mu
-        var = T.mean_(centered * centered, axis=-1, keepdims=True)
-        return centered / T.sqrt(var + self.eps) * self.gamma + self.beta
+        return T.layer_norm(x, self.gamma, self.beta, self.eps)

@@ -12,6 +12,20 @@ table or input data) gets ``None`` from ``add``/``sub``/``mul``/``div``/
 ``b`` in ``a @ b`` gets its gradient from one flat GEMM over every
 leading axis of ``a``, ``a.reshape(-1, k).T @ g.reshape(-1, n)``, never
 from a stack of per-slice products summed away afterwards.
+
+Three fused ops each record one node with a closed-form vjp, in place of
+the chain of elementary nodes (and their saved intermediates) they
+replace:
+
+``layer_norm(x, gamma, beta, eps)``
+    normalises the last axis; keeps only x̂ and σ = sqrt(var + eps).
+``affine(x, w, b, activation)``
+    ``act(x @ w + b)`` for ``none``/``tanh``/``relu``, as one flat 2-d
+    GEMM over every leading axis of ``x``; keeps only its output, from
+    which the vjp reads the activation's derivative.
+``attention(q, k, v, heads, scale)``
+    multi-head scaled dot-product attention: head split, scores,
+    softmax, context and head merge; keeps only the probabilities.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ import contextlib
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -351,6 +365,108 @@ def getitem(a, idx) -> Tensor:
         return (z,)
 
     return _make(a.data[idx], (a,), vjp)
+
+
+ACTIVATIONS = ("none", "tanh", "relu")
+
+
+def layer_norm(x, gamma, beta, eps: float) -> Tensor:
+    """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis."""
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat /= sigma
+    out = xhat * gamma.data
+    out += beta.data
+
+    def vjp(g):
+        dim = xhat.shape[-1]
+        flat = g.reshape(-1, dim)
+        gx = None
+        if x.requires_grad:
+            gh = g * gamma.data
+            gx = gh - gh.mean(axis=-1, keepdims=True)
+            gh *= xhat
+            gx -= xhat * gh.mean(axis=-1, keepdims=True)
+            gx /= sigma
+        return (
+            gx,
+            (flat * xhat.reshape(-1, dim)).sum(axis=0) if gamma.requires_grad else None,
+            flat.sum(axis=0) if beta.requires_grad else None,
+        )
+
+    return _make(out, (x, gamma, beta), vjp)
+
+
+def affine(x, w, b, activation: str = "none") -> Tensor:
+    """``act(x @ w + b)`` on the last axis of ``x``; ``w`` is (k, n)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}, expected one of {ACTIVATIONS}")
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine: cannot map {x.shape} through a {w.shape} weight")
+    k, n = w.shape
+    flat_out = x.data.reshape(-1, k) @ w.data
+    flat_out += b.data
+    if activation == "tanh":
+        np.tanh(flat_out, out=flat_out)
+    elif activation == "relu":
+        np.maximum(flat_out, 0.0, out=flat_out)
+
+    def vjp(g):
+        g = g.reshape(-1, n)
+        if activation == "tanh":
+            g = g * (1.0 - flat_out * flat_out)
+        elif activation == "relu":
+            g = g * (flat_out > 0)
+        return (
+            (g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+            x.data.reshape(-1, k).T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return _make(flat_out.reshape(x.shape[:-1] + (n,)), (x, w, b), vjp)
+
+
+def attention(q, k, v, heads: int, scale: float) -> Tensor:
+    """Multi-head ``softmax(q k^T * scale) v`` of (B, L_q, d) queries onto
+    (B, L_k, d) keys and values: ``d`` splits into ``heads`` heads."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
+            or (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2])):
+        raise ShapeError(f"attention: queries {q.shape}, keys {k.shape}, values {v.shape}")
+    bsz, lq, dim = q.shape
+    lk = k.shape[1]
+    if dim % heads:
+        raise ShapeError(f"attention: dim {dim} not divisible by {heads} heads")
+
+    def split(a, length):
+        return a.reshape(bsz, length, heads, dim // heads).transpose(0, 2, 1, 3)
+
+    def merge(a, length):
+        return a.transpose(0, 2, 1, 3).reshape(bsz, length, dim)
+
+    qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gh = split(g, lq)
+        gv = merge(p.transpose(0, 1, 3, 2) @ gh, lk) if v.requires_grad else None
+        gs = gh @ vh.transpose(0, 1, 3, 2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        return (
+            merge(gs @ kh, lq) if q.requires_grad else None,
+            merge(gs.transpose(0, 1, 3, 2) @ qh, lk) if k.requires_grad else None,
+            gv,
+        )
+
+    return _make(merge(p @ vh, lq), (q, k, v), vjp)
 
 
 def index_select(a, idx, axis=0) -> Tensor:

@@ -34,30 +34,16 @@ class MultiHeadAttention:
         if dim % heads:
             raise ConfigError(f"model dim {dim} not divisible by {heads} heads")
         self.heads = heads
-        self.dim = dim
-        self.head_dim = dim // heads
-        self.scale = 1.0 / math.sqrt(self.head_dim)
+        self.scale = 1.0 / math.sqrt(dim // heads)
         self.q = Dense(store, f"{name}.q", dim, dim)
         self.k = Dense(store, f"{name}.k", dim, dim)
         self.v = Dense(store, f"{name}.v", dim, dim)
         self.out = Dense(store, f"{name}.out", dim, dim)
 
-    def _split(self, x: T.Tensor) -> T.Tensor:
-        b, length, _ = x.shape
-        return T.transpose(
-            T.reshape(x, (b, length, self.heads, self.head_dim)), (0, 2, 1, 3)
-        )
-
     def __call__(self, queries: T.Tensor, memory: T.Tensor) -> T.Tensor:
-        b, lq, _ = queries.shape
-        q = self._split(self.q(queries))
-        k = self._split(self.k(memory))
-        v = self._split(self.v(memory))
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * self.scale
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, v)
-        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, lq, self.dim))
-        return self.out(merged)
+        ctx = T.attention(self.q(queries), self.k(memory), self.v(memory),
+                          self.heads, self.scale)
+        return self.out(ctx)
 
 
 class FeedForward:

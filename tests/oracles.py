@@ -1,0 +1,79 @@
+"""Reference forms that tests compare the program against.
+
+The layer oracles build their results from elementary tape ops
+(``matmul``, ``add``, ``mean_``, ``softmax``, ...), one node per step,
+so their forwards and gradients come from the generic vjps alone; the
+fused ops in ``reverb.nn.tensor`` and the split query projection in
+``ReverbPredictor._query`` must agree with them.  ``change_point_frame``
+locates the planted heading change of the synthetic generator.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from reverb.errors import InsufficientDataError
+from reverb.nn import tensor as T
+
+
+def dense(x, w, b, activation: str = "none"):
+    """``act(x @ w + b)`` as matmul, add and activation nodes."""
+    out = T.matmul(x, w) + b
+    if activation == "tanh":
+        return T.tanh(out)
+    if activation == "relu":
+        return T.relu(out)
+    return out
+
+
+def layer_norm(x, gamma, beta, eps: float):
+    mu = T.mean_(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = T.mean_(centered * centered, axis=-1, keepdims=True)
+    return centered / T.sqrt(var + eps) * gamma + beta
+
+
+def attention(q, k, v, heads: int, scale: float):
+    """Head split, scores, softmax, context and head merge, node by node."""
+    bsz, lq, dim = q.shape
+
+    def split(x):
+        return T.transpose(T.reshape(x, (bsz, x.shape[1], heads, dim // heads)),
+                           (0, 2, 1, 3))
+
+    scores = T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2))) * scale
+    ctx = T.matmul(T.softmax(scores, axis=-1), split(v))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, lq, dim))
+
+
+def query_projection(proj, query_parts, z, rows: int):
+    """``proj`` of ``[tile(part) ..., tile(z)]``: every part tiled to
+    ``rows`` rows and concatenated with the noise before one Dense."""
+    bsz = query_parts[0].shape[0]
+    tiled = [T.concat([p] * (rows // p.shape[1]), axis=1) for p in query_parts]
+    zt = T.Tensor(np.broadcast_to(z, (bsz, rows, z.shape[0])))
+    return dense(T.concat([*tiled, zt], axis=2), proj.w, proj.b)
+
+
+def change_point_frame(xy: np.ndarray) -> int:
+    """1-based frame of the largest per-step heading change (first argmax).
+
+    On noise-free generator output this recovers the planted onset frame
+    exactly: the first rotated step is the step into the onset frame.
+    """
+    xy = np.asarray(xy, dtype=np.float64)
+    if xy.shape[0] < 4:
+        raise InsufficientDataError("need at least 4 points to locate a heading change")
+    steps = np.diff(xy, axis=0)
+    headings = np.arctan2(steps[:, 1], steps[:, 0])
+    dh = np.abs(_wrap_angle(np.diff(headings)))
+    # dh[i] compares the steps into frames i+2 and i+3, so the first
+    # rotated step (into the onset frame o) sits at index o-3.  A steady
+    # turn yields a run of near-ties, so take the first index within
+    # rounding distance of the maximum rather than a strict argmax.
+    first = int(np.flatnonzero(dh >= dh.max() * (1.0 - 1e-9))[0])
+    return first + 3
+
+
+def _wrap_angle(a: np.ndarray) -> np.ndarray:
+    return (a + np.pi) % (2.0 * np.pi) - np.pi

@@ -6,7 +6,6 @@ from reverb.data import (
     Scene,
     SynthLatencySpec,
     Tracklet,
-    change_point_frame,
     inject_manual_neighbor,
     load_scene,
     load_split_manifest,
@@ -19,6 +18,8 @@ from reverb.errors import ParseError, ValidationError
 from reverb.linear import linear_fit
 from reverb.social import assign_partitions
 from reverb.transforms import TimeSeq
+
+from oracles import change_point_frame
 
 
 def write(tmp_path, text, name="scene.tsv"):

@@ -1,0 +1,161 @@
+"""Fused tape ops and the split query projection against their composite
+oracles (``oracles.py``): forward and gradients at rtol 1e-12, plus a
+finite-difference check of each fused op."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from reverb.errors import ConfigError, ShapeError
+from reverb.model import ModelConfig, ReverbPredictor
+from reverb.nn import tensor as T
+from reverb.nn.gradcheck import grad_check
+
+import oracles
+
+RTOL = 1e-12
+
+
+def leaf(rng, shape):
+    return T.Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def run(fn, leaves, weights):
+    """Forward of ``fn()`` and the gradients of ``sum(fn() * weights)``."""
+    for t in leaves.values():
+        t.grad = None
+    out = fn()
+    T.backward(T.sum_(out * weights))
+    return out.data, {name: t.grad for name, t in leaves.items()}
+
+
+def assert_matches(fused, oracle, leaves, rng):
+    """``fused`` and ``oracle`` agree on the forward and on every leaf's
+    gradient."""
+    shape = oracle().shape
+    weights = T.Tensor(rng.normal(size=shape))
+    got, got_grads = run(fused, leaves, weights)
+    want, want_grads = run(oracle, leaves, weights)
+    assert got.shape == want.shape
+    assert_allclose(got, want, rtol=RTOL, atol=0)
+    for name in leaves:
+        assert got_grads[name] is not None, name
+        assert_allclose(got_grads[name], want_grads[name], rtol=RTOL, atol=0,
+                        err_msg=name)
+
+
+def assert_grad_check(fn, leaves, rng, tol=1e-6):
+    weights = T.Tensor(rng.normal(size=fn().shape))
+    report = grad_check(lambda: T.sum_(fn() * weights), leaves)
+    assert report.max_rel_error <= tol, report.summary()
+
+
+SHAPES = {"2d": (5, 6), "3d": (3, 4, 6), "4d": (2, 3, 4, 6)}
+
+
+class TestAffine:
+    @pytest.mark.parametrize("activation", ["none", "tanh", "relu"])
+    @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+    def test_matches_dense_oracle(self, shape, activation):
+        rng = np.random.default_rng(600)
+        leaves = {"x": leaf(rng, shape), "w": leaf(rng, (6, 5)), "b": leaf(rng, (5,))}
+        args = (leaves["x"], leaves["w"], leaves["b"], activation)
+        assert_matches(lambda: T.affine(*args), lambda: oracles.dense(*args), leaves, rng)
+
+    @pytest.mark.parametrize("activation", ["none", "tanh", "relu"])
+    @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+    def test_grad_check(self, shape, activation):
+        rng = np.random.default_rng(601)
+        leaves = {"x": leaf(rng, shape), "w": leaf(rng, (6, 3)), "b": leaf(rng, (3,))}
+        assert_grad_check(lambda: T.affine(leaves["x"], leaves["w"], leaves["b"], activation),
+                          leaves, rng)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(602)
+        x = T.Tensor(rng.normal(size=(3, 4)))
+        w, b = leaf(rng, (4, 2)), leaf(rng, (2,))
+        T.backward(T.sum_(T.affine(x, w, b, "tanh")))
+        assert x.grad is None
+        assert w.grad.shape == (4, 2) and b.grad.shape == (2,)
+
+    def test_rejects_bad_activation_and_shapes(self):
+        rng = np.random.default_rng(603)
+        w, b = leaf(rng, (3, 2)), leaf(rng, (2,))
+        with pytest.raises(ConfigError, match="activation"):
+            T.affine(T.Tensor(np.zeros((2, 3))), w, b, "gelu")
+        # (2, 6) would reshape to (4, 3) without the check.
+        with pytest.raises(ShapeError):
+            T.affine(T.Tensor(np.zeros((2, 6))), w, b)
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(4, 7), (2, 3, 7)], ids=["2d", "3d"])
+    def test_matches_oracle(self, shape):
+        rng = np.random.default_rng(610)
+        leaves = {"x": T.Tensor(rng.normal(loc=2.0, scale=3.0, size=shape),
+                                requires_grad=True),
+                  "gamma": leaf(rng, (7,)), "beta": leaf(rng, (7,))}
+        args = (leaves["x"], leaves["gamma"], leaves["beta"], 1e-5)
+        assert_matches(lambda: T.layer_norm(*args), lambda: oracles.layer_norm(*args),
+                       leaves, rng)
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(611)
+        leaves = {"x": leaf(rng, (2, 3, 6)), "gamma": leaf(rng, (6,)), "beta": leaf(rng, (6,))}
+        assert_grad_check(
+            lambda: T.layer_norm(leaves["x"], leaves["gamma"], leaves["beta"], 1e-5),
+            leaves, rng)
+
+
+# (batch, query rows, key rows, dim, heads): cross-attention from 32
+# query rows onto a 4-row memory, and self-attention.
+ATTENTION = {"cross": (2, 32, 4, 8, 2), "self": (3, 5, 5, 12, 4)}
+
+
+class TestAttention:
+    @pytest.mark.parametrize("case", list(ATTENTION))
+    def test_matches_oracle(self, case):
+        bsz, lq, lk, dim, heads = ATTENTION[case]
+        rng = np.random.default_rng(620)
+        leaves = {"q": leaf(rng, (bsz, lq, dim)), "k": leaf(rng, (bsz, lk, dim)),
+                  "v": leaf(rng, (bsz, lk, dim))}
+        args = (leaves["q"], leaves["k"], leaves["v"], heads, 1.0 / np.sqrt(dim // heads))
+        assert_matches(lambda: T.attention(*args), lambda: oracles.attention(*args),
+                       leaves, rng)
+
+    @pytest.mark.parametrize("case", list(ATTENTION))
+    def test_grad_check(self, case):
+        bsz, lq, lk, dim, heads = ATTENTION[case]
+        rng = np.random.default_rng(621)
+        leaves = {"q": leaf(rng, (1, min(lq, 6), dim)), "k": leaf(rng, (1, lk, dim)),
+                  "v": leaf(rng, (1, lk, dim))}
+        assert_grad_check(
+            lambda: T.attention(leaves["q"], leaves["k"], leaves["v"], heads, 0.5),
+            leaves, rng)
+
+    def test_rejects_mismatched_shapes(self):
+        q, kv = T.Tensor(np.zeros((2, 3, 8))), T.Tensor(np.zeros((2, 4, 6)))
+        with pytest.raises(ShapeError):
+            T.attention(q, kv, kv, 2, 1.0)
+        with pytest.raises(ShapeError):
+            T.attention(q, q, q, 3, 1.0)
+
+
+class TestQueryProjection:
+    @pytest.mark.parametrize("name", ["non", "soc"])
+    def test_matches_concat_then_dense(self, name):
+        cfg = ModelConfig(t_h=4, t_f=6, d=8, k_g=4, n_theta=3, tf_layers=1,
+                          tf_heads=2, noise_dim=5)
+        model = ReverbPredictor(cfg, seed=630)
+        branch = model.branches[name]
+        rng = np.random.default_rng(631)
+        branch.proj.b.data = rng.normal(size=branch.proj.b.shape)
+        leaves = {"e_non": leaf(rng, (2, cfg.hist_rows, cfg.d)),
+                  "w": branch.proj.w, "b": branch.proj.b}
+        if name == "soc":
+            leaves["e_soc"] = leaf(rng, (2, cfg.soc_rows, cfg.d))
+        parts = [leaves["e_non"]] + ([leaves["e_soc"]] if name == "soc" else [])
+        z = rng.normal(size=cfg.z_dim)
+        assert_matches(lambda: model._query(branch, parts, z),
+                       lambda: oracles.query_projection(branch.proj, parts, z, branch.rows),
+                       leaves, rng)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from reverb.errors import ConfigError, TrainingError
 from reverb.nn import tensor as T
 from reverb.nn.gradcheck import grad_check
-from reverb.nn.layers import MLP, Dense, LayerNorm, ParameterStore, activate
+from reverb.nn.layers import MLP, Dense, LayerNorm, ParameterStore
 
 
 class TestDense:
@@ -19,7 +19,9 @@ class TestDense:
         assert_allclose(layer(x).data, x.data, atol=1e-15)
 
     def test_relu_of_negative_is_zero(self):
-        out = activate(T.Tensor(np.array([-1.0])), "relu")
+        layer = Dense(ParameterStore(seed=0), "lin", 1, 1, activation="relu")
+        layer.w.data = np.eye(1)
+        out = layer(T.Tensor(np.array([-1.0])))
         assert out.data[0] == 0.0
 
     def test_weight_gradient_closed_form(self):
