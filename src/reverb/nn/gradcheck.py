@@ -43,7 +43,8 @@ def grad_check(fn, params, h_scale: float = 1e-5, floor: float = 1e-5,
     """
     named = dict(params.items()) if isinstance(params, ParameterStore) else dict(params)
     for p in named.values():
-        p.grad = None
+        if p.grad is not None:
+            p.grad.fill(0.0)
     out = fn()
     if out.data.size != 1:
         raise ShapeError("grad_check needs a scalar-valued fn")

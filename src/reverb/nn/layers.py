@@ -1,4 +1,4 @@
-"""Parameter store and basic layers (dense, MLP, layer norm).
+"""Flat parameter store and basic layers (dense, MLP, layer norm).
 
 ``Dense`` and ``LayerNorm`` are one fused tape op each (``T.affine``,
 ``T.layer_norm``)."""
@@ -18,14 +18,23 @@ class ParameterStore:
     Initialization draws from one generator seeded at construction, so a
     fixed seed and a fixed layer-construction order give bit-identical
     parameters.
+
+    The store owns the training-state layout.  On first use it packs:
+    the parameters move, in insertion order, into one float64 vector
+    ``values``, with zero gradients in a vector ``grads`` of the same
+    layout, and each ``data`` and ``grad`` becomes a view of its slice.
+    After packing ``add`` raises; never rebind ``.data`` or ``.grad``.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
         self._params: dict[str, T.Tensor] = {}
+        self.values = self.grads = None
 
     def add(self, name: str, shape: tuple, init: str = "xavier") -> T.Tensor:
+        if self.values is not None:
+            raise ConfigError(f"cannot add {name!r}: the parameter store is packed")
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         if " " in name:
@@ -54,37 +63,58 @@ class ParameterStore:
     def items(self):
         return self._params.items()
 
-    def zero_grad(self):
+    def pack(self) -> np.ndarray:
+        """Pack on the first call (see the class docstring); returns ``values``."""
+        if self.values is None:
+            params = self._params.values()
+            self.values = np.concatenate([p.data.ravel() for p in params] or [np.zeros(0)])
+            self.grads = np.zeros_like(self.values)
+            for p, data, grad in zip(params, self._views(self.values), self._views(self.grads)):
+                p.data, p.grad = data, grad
+        return self.values
+
+    def _views(self, vector):
+        lo = 0
         for p in self._params.values():
-            p.grad = None
+            yield vector[lo : lo + p.data.size].reshape(p.shape)
+            lo += p.data.size
 
-    def check_finite(self, what: str = "parameter"):
-        for name, p in self._params.items():
-            if not np.isfinite(p.data).all():
-                raise TrainingError(f"{what} {name!r} contains NaN or Inf")
+    def zero_grad(self):
+        self.pack()
+        self.grads.fill(0.0)
 
-    def state_arrays(self) -> dict:
-        return {name: p.data.copy() for name, p in self._params.items()}
+    def check_finite(self, what: str = "parameter", vector=None):
+        """Raise naming the first parameter whose slice of ``vector`` is not finite."""
+        vector = self.pack() if vector is None else vector
+        if not np.isfinite(vector).all():
+            name = next(name for name, view in zip(self._params, self._views(vector))
+                        if not np.isfinite(view).all())
+            raise TrainingError(f"{what} {name!r} contains NaN or Inf")
 
-    def load_arrays(self, arrays: dict):
-        """Overwrite parameter values; mismatches raise with a full diff."""
+    def state_arrays(self, vector=None, prefix: str = "") -> dict:
+        """Copies of ``vector``'s slices (default: ``values``), keyed ``prefix + name``."""
+        vector = self.pack() if vector is None else vector
+        return {prefix + n: v.copy() for n, v in zip(self._params, self._views(vector))}
+
+    def load_arrays(self, arrays: dict, vector=None, prefix: str = ""):
+        """Fill ``vector`` in place from ``arrays[prefix + name]`` (other keys
+        are ignored); mismatches raise with a full diff."""
+        vector = self.pack() if vector is None else vector
         problems = []
         for name, p in self._params.items():
-            if name not in arrays:
-                problems.append(f"missing {name} {p.data.shape}")
-                continue
-            a = np.asarray(arrays[name], dtype=np.float64)
-            if a.shape != p.data.shape:
-                problems.append(f"shape {name}: checkpoint {a.shape} != model {p.data.shape}")
-        for name in arrays:
-            if name not in self._params:
-                problems.append(f"unexpected {name} {np.shape(arrays[name])}")
+            key = prefix + name
+            if key not in arrays:
+                problems.append(f"missing {key} {p.shape}")
+            elif np.shape(arrays[key]) != p.shape:
+                problems.append(
+                    f"shape {key}: checkpoint {np.shape(arrays[key])} != model {p.shape}")
+        problems += [f"unexpected {key} {np.shape(a)}" for key, a in arrays.items()
+                     if key.startswith(prefix) and key[len(prefix):] not in self._params]
         if problems:
-            raise ConfigError(
-                "checkpoint/model dimension mismatch:\n  " + "\n  ".join(problems)
-            )
-        for name, p in self._params.items():
-            p.data = np.asarray(arrays[name], dtype=np.float64).copy()
+            raise ConfigError("checkpoint/model dimension mismatch:\n  "
+                              + "\n  ".join(problems))
+        for name, view in zip(self._params, self._views(vector)):
+            view[...] = arrays[prefix + name]
 
 
 class Dense:

@@ -1,10 +1,9 @@
-"""Adam with bias correction."""
+"""Adam with bias correction; ``m`` and ``v`` are flat vectors in the store's layout."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
 from .layers import ParameterStore
 
 
@@ -17,36 +16,29 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in store.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in store.items()}
+        self.m = np.zeros_like(store.pack())
+        self.v = np.zeros_like(self.m)
 
     def step(self):
-        """One update over every stored parameter; missing grads count as 0."""
+        """One update of every parameter from the store's gradient vector."""
+        g = self.store.grads
+        self.store.check_finite("gradient of", g)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.store.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise TrainingError(f"gradient of {name!r} contains NaN or Inf")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        den = np.sqrt(self.v / bc2) + self.eps  # apart: two full-size temporaries, not three
+        self.store.values -= self.lr * (self.m / bc1) / den
 
     def state_arrays(self) -> dict:
-        out = {}
-        for name in self.store.names():
-            out[f"adam.m.{name}"] = self.m[name].copy()
-            out[f"adam.v.{name}"] = self.v[name].copy()
-        return out
+        return {**self.store.state_arrays(self.m, "adam.m."),
+                **self.store.state_arrays(self.v, "adam.v.")}
 
     def load_arrays(self, arrays: dict, step_count: int):
-        for name in self.store.names():
-            self.m[name] = np.asarray(arrays[f"adam.m.{name}"], dtype=np.float64).copy()
-            self.v[name] = np.asarray(arrays[f"adam.v.{name}"], dtype=np.float64).copy()
+        self.store.load_arrays(arrays, self.m, "adam.m.")
+        self.store.load_arrays(arrays, self.v, "adam.v.")
         self.step_count = int(step_count)

@@ -1,7 +1,7 @@
 """Tape-based reverse-mode automatic differentiation on numpy arrays.
 
 Every op records its parents and a vector-Jacobian closure; ``backward``
-runs one reverse topological sweep, accumulating gradients into leaves.
+runs one reverse topological sweep, adding into each leaf's ``grad`` in place.
 All data is float64.  Gradient accumulation order is fixed by graph
 construction order, so repeated runs are bit-identical.
 
@@ -68,9 +68,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -151,7 +148,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(t: Tensor, seed=None):
-    """Reverse sweep from ``t``; leaf ``grad`` fields accumulate."""
+    """Reverse sweep from ``t``; leaf ``grad`` arrays accumulate in place."""
     if seed is None:
         if t.data.size != 1:
             raise ShapeError("backward without a seed needs a scalar output")
@@ -179,7 +176,12 @@ def backward(t: Tensor, seed=None):
         for p, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not p.requires_grad:
                 continue
-            p.grad = pg if p.grad is None else p.grad + pg
+            if p._vjp is None:  # a leaf adds into its own buffer, never into ``pg``
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+                p.grad += pg
+            else:
+                p.grad = pg if p.grad is None else p.grad + pg
         if node is not t:
             node.grad = None  # intermediate grads are not kept
 

@@ -98,7 +98,10 @@ def run_training(cfg: RunConfig, samples, out_dir, resume=None,
     if resume is not None:
         model, arrays, meta = load_model(resume, cfg)
         adam = Adam(model.store, lr=cfg.lr)
-        adam.load_arrays(arrays, step_count=_meta_int(meta, "adam_t", resume))
+        try:
+            adam.load_arrays(arrays, step_count=_meta_int(meta, "adam_t", resume))
+        except ConfigError as e:  # the weights matched, so the file is at fault
+            raise ParseError(str(e), path=resume) from None
         start_epoch = _meta_int(meta, "epoch", resume)
 
     encoded = model.encode(samples)

@@ -219,3 +219,38 @@ class TestGraphMechanics:
         T.backward(T.sum_(x * 2.0))
         T.backward(T.sum_(x * 2.0))
         assert_allclose(x.grad, 4.0)
+
+    def test_leaf_adds_in_place_without_touching_a_shared_vjp_array(self):
+        # add's vjp hands the one seed array to both slots of x + x
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        seed = np.array([1.0, 2.0, 3.0])
+        T.backward(x + x, seed=seed)
+        assert_allclose(seed, [1.0, 2.0, 3.0], atol=0)
+        assert_allclose(x.grad, 2.0 * seed, atol=0)
+        buffer = x.grad
+        T.backward(x + x, seed=seed)
+        assert x.grad is buffer
+        assert_allclose(x.grad, 4.0 * seed, atol=0)
+
+    def test_leaf_gradient_array_also_read_by_an_intermediate_node(self):
+        # ``a`` and ``x`` receive the same array from the outer add; ``a``'s
+        # vjp then hands that array on to ``x`` and ``h``, and ``h`` reads it
+        # only after ``x`` has accumulated twice.
+        x = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        h = x * 2.0
+        a = x + h
+        seed = np.array([0.5, 3.0])
+        T.backward(a + x, seed=seed)
+        assert_allclose(x.grad, 4.0 * seed, atol=0)
+        assert_allclose(seed, [0.5, 3.0], atol=0)
+        assert a.grad is None and h.grad is None
+
+    def test_packed_parameter_gradient_stays_a_view_of_the_store(self):
+        store = ParameterStore(seed=0)
+        w = store.add("w", (2,), "ones")
+        store.zero_grad()
+        view = w.grad
+        T.backward(T.sum_(w * w))
+        T.backward(T.sum_(w + w))
+        assert w.grad is view and np.shares_memory(w.grad, store.grads)
+        assert_allclose(store.grads, 4.0, atol=0)

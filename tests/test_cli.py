@@ -164,6 +164,11 @@ MALFORMED_INPUTS = {
                                  "model.bin", "epoch"),
     "checkpoint_missing_adam_t": ("model.bin", rb"meta adam_t \d+\n", b"", 2,
                                   "model.bin", "adam_t"),
+    "checkpoint_missing_adam_state": ("model.bin", rb"(tensor adam\.\S+ [^\n]*\n)+", b"",
+                                      2, "model.bin", "missing adam.m.enc.alpha.0.w"),
+    "checkpoint_bad_adam_shape": ("model.bin", rb"(tensor adam\.m\.\S+ float32 )[0-9,]+",
+                                  rb"\g<1>1", 2, "model.bin",
+                                  "shape adam.m.enc.alpha.0.b: checkpoint (1,)"),
 }
 
 

@@ -332,7 +332,7 @@ class TestLossGraph:
         loss, _, _ = model.loss(batch, model.zero_noise())
         T.backward(loss)
         for name, p in model.store.items():
-            assert p.grad is not None, name
+            assert p.grad is not None and np.abs(p.grad).max() > 0, name
             assert np.all(np.isfinite(p.grad)), name
 
     def test_alpha_beta_train_through_social_branch_alone(self):

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from reverb.errors import ConfigError, TrainingError
 from reverb.nn import tensor as T
 from reverb.nn.gradcheck import grad_check
 from reverb.nn.layers import MLP, Dense, LayerNorm, ParameterStore
+from reverb.nn.optim import Adam
 
 
 class TestDense:
@@ -105,6 +106,57 @@ class TestParameterStore:
             store.load_arrays({})
         with pytest.raises(ConfigError, match="unexpected"):
             store.load_arrays({"w": np.zeros((2, 3)), "extra": np.zeros(1)})
+
+    def test_packing_makes_every_tensor_a_view_of_the_flat_vectors(self):
+        store = ParameterStore(seed=0)
+        Dense(store, "a", 3, 2)
+        LayerNorm(store, "ln", 2)
+        before = {name: p.data.copy() for name, p in store.items()}
+        Adam(store)
+        assert store.values.size == store.grads.size == 3 * 2 + 2 + 2 + 2
+        assert_array_equal(store.values,
+                           np.concatenate([a.ravel() for a in before.values()]))
+        assert_array_equal(store.grads, 0.0)
+        for name, p in store.items():
+            assert_array_equal(p.data, before[name])
+            assert np.shares_memory(p.data, store.values), name
+            assert np.shares_memory(p.grad, store.grads), name
+        store.grads[:] = 1.0
+        assert all((p.grad == 1.0).all() for _, p in store.items())
+        store.zero_grad()
+        assert all((p.grad == 0.0).all() for _, p in store.items())
+
+    def test_add_after_packing_raises(self):
+        store = ParameterStore(seed=0)
+        store.add("w", (2, 3))
+        store.zero_grad()
+        with pytest.raises(ConfigError, match="packed"):
+            store.add("late", (2,))
+        assert store.names() == ["w"]
+
+    def test_load_arrays_writes_in_place_and_keeps_the_views(self):
+        store = ParameterStore(seed=0)
+        w = store.add("w", (2, 3))
+        b = store.add("b", (3,), "zeros")
+        Adam(store)
+        values = store.values
+        store.load_arrays({"w": np.full((2, 3), 2.0), "b": [1.0, 2.0, 3.0]})
+        assert store.values is values
+        assert np.shares_memory(w.data, values) and np.shares_memory(b.data, values)
+        assert_array_equal(values, [2.0] * 6 + [1.0, 2.0, 3.0])
+        assert not np.shares_memory(store.state_arrays()["w"], values)
+        state = store.state_arrays(np.arange(9.0), prefix="x.")
+        assert_array_equal(state["x.b"], [6.0, 7.0, 8.0])
+
+    def test_check_finite_on_the_gradient_vector_names_the_offender(self):
+        store = ParameterStore(seed=0)
+        store.add("a", (2,), "zeros")
+        b = store.add("b.w", (2, 2))
+        store.zero_grad()
+        store.check_finite("gradient of", store.grads)
+        b.grad[1, 0] = np.inf
+        with pytest.raises(TrainingError, match="gradient of 'b.w'"):
+            store.check_finite("gradient of", store.grads)
 
     def test_check_finite_names_the_offender(self):
         store = ParameterStore(seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from reverb.errors import ParseError, TrainingError
+from reverb.errors import ConfigError, ParseError, TrainingError
 from reverb.nn import tensor as T
 from reverb.nn.checkpoint import load, save
 from reverb.nn.layers import ParameterStore
@@ -18,7 +18,7 @@ class TestAdam:
         store = ParameterStore(seed=0)
         p = store.add("p", (3,), "ones")
         opt = Adam(store, lr=0.1)
-        p.grad = np.zeros(3)
+        p.grad[...] = 0.0
         opt.step()
         assert_allclose(p.data, 1.0, atol=0)
 
@@ -34,7 +34,7 @@ class TestAdam:
         store = ParameterStore(seed=0)
         p = store.add("p", (1,), "zeros")
         opt = Adam(store, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-        p.grad = np.ones(1)
+        p.grad[...] = 1.0
         opt.step()
         assert_allclose(p.data[0], -0.1 / (1.0 + 1e-8), atol=1e-12)
         assert abs(p.data[0] + 0.0999999) < 1e-6
@@ -43,7 +43,7 @@ class TestAdam:
         store = ParameterStore(seed=0)
         p = store.add("enc.w", (2,), "zeros")
         opt = Adam(store)
-        p.grad = np.array([np.nan, 0.0])
+        p.grad[...] = [np.nan, 0.0]
         with pytest.raises(TrainingError, match="enc.w"):
             opt.step()
 
@@ -61,14 +61,27 @@ class TestAdam:
         store = ParameterStore(seed=0)
         p = store.add("p", (2,), "ones")
         opt = Adam(store, lr=0.01)
-        p.grad = np.array([0.5, -0.5])
+        p.grad[...] = [0.5, -0.5]
         opt.step()
         state = opt.state_arrays()
         opt2 = Adam(store, lr=0.01)
         opt2.load_arrays(state, step_count=opt.step_count)
         assert opt2.step_count == 1
-        assert_allclose(opt2.m["p"], opt.m["p"], atol=0)
-        assert_allclose(opt2.v["p"], opt.v["p"], atol=0)
+        assert_allclose(opt2.m, opt.m, atol=0)
+        assert_allclose(opt2.v, opt.v, atol=0)
+
+    def test_state_load_names_a_missing_or_misshaped_moment(self):
+        store = ParameterStore(seed=0)
+        store.add("a", (2,), "ones")
+        store.add("b", (3,), "ones")
+        state = Adam(store).state_arrays()
+        del state["adam.v.b"]
+        with pytest.raises(ConfigError, match=r"missing adam\.v\.b"):
+            Adam(store).load_arrays(state, step_count=1)
+        state["adam.v.b"] = np.zeros(3)
+        state["adam.m.a"] = np.zeros(1)
+        with pytest.raises(ConfigError, match=r"shape adam\.m\.a: checkpoint \(1,\)"):
+            Adam(store).load_arrays(state, step_count=1)
 
 
 class TestCheckpoint:

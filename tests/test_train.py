@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 
@@ -64,6 +65,22 @@ def test_loss_log_format(tmp_path):
     first = lines[2].split(",")
     assert first[0] == "1"
     float(first[1])
+
+
+class TestTinyRunPin:
+    """The bytes a 3-epoch ``tiny_cfg`` run writes are pinned: a change to
+    how the training state is stored or updated must not move one byte of
+    the loss log or the final checkpoint."""
+
+    LOSS_LOG_SHA = "bde9890836f9d60fa24bfd4b3a12e7a083d64da575196bc1226d34ea5f3ffb88"
+    FINAL_SHA = "6d296728cdd3a1e456538e24149037a747c264f8545bfc79774406ad22f22924"
+
+    def test_loss_log_and_final_checkpoint_bytes(self, tmp_path):
+        cfg = tiny_cfg()
+        out = run_training(cfg, tiny_samples(cfg), str(tmp_path))
+        sha = lambda path: hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert sha(tmp_path / "loss_log.csv") == self.LOSS_LOG_SHA
+        assert sha(out["final_checkpoint"]) == self.FINAL_SHA
 
 
 def test_same_seed_same_bytes(tmp_path):
