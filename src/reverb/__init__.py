@@ -40,7 +40,7 @@ from .kernels import (
 )
 from .linear import LinearFit, linear_fit
 from .metrics import min_ade_fde, stat_ade_fde
-from .model import ModelConfig, PredictionBatch, ReverbPredictor, best_of_k_loss
+from .model import ModelConfig, PredictionBatch, ReverbPredictor
 from .train import run_training
 from .transforms import KINDS, TimeSeq
 
@@ -70,7 +70,6 @@ __all__ = [
     "TrainingError",
     "ValidationError",
     "average_curves",
-    "best_of_k_loss",
     "config_hash",
     "inject_manual_neighbor",
     "linear_fit",

@@ -373,7 +373,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config, args.set) if args.config or args.set else RunConfig()
+    cfg = _load_run_config(args)
     out_dir = resolve_output_dir(cfg, args.out_dir)
     spec = SynthLatencySpec(
         n_scenes=args.scenes,
@@ -469,10 +469,7 @@ def main(argv=None) -> int:
     except (NumericError, TrainingError) as e:
         print(f"reverb: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, InsufficientDataError) as e:
-        print(f"reverb: data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (ParseError, InsufficientDataError, OSError) as e:
         print(f"reverb: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ShapeError, SequenceLengthError, DomainError) as e:

@@ -212,19 +212,6 @@ class _Branch:
     static_g: T.Tensor | None
 
 
-def best_of_k_loss(values: np.ndarray, gt: np.ndarray) -> float:
-    """Minimum over generations of the mean per-step distance.
-
-    Ties go to the lowest generation index (argmin convention).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if values.ndim != 3 or values.shape[1:] != gt.shape:
-        raise ShapeError(f"shape mismatch: {values.shape} vs {gt.shape}")
-    dist = np.linalg.norm(values - gt[None], axis=2).mean(axis=1)
-    return float(dist[int(np.argmin(dist))])
-
-
 class ReverbPredictor:
     """Owns the parameters and the differentiable forward passes."""
 

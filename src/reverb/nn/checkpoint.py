@@ -1,16 +1,18 @@
-"""Single-file checkpoints: a text manifest plus one float32 blob.
+"""Single-file checkpoints: a text manifest plus one raw blob.
 
 Byte-exact layout (all text lines ASCII, LF-terminated):
 
     REVERB-CKPT 1
     meta <key> <value>          # zero or more, sorted by key
-    tensor <name> float32 <d0,d1,...> <byte-offset>
+    tensor <name> <dtype> <d0,d1,...> <byte-offset>
                                 # one per array, sorted by name
     blob <total-bytes>
-    <raw little-endian float32 data, C order, in manifest order>
+    <raw little-endian data, C order, in manifest order>
 
-Values are stored as little-endian float32 (training state is float64,
-so saving is lossy at the 7th significant digit).  Writes go to a
+``save`` writes every tensor as float64, the dtype of the training
+state, so a save and a load give back the same bits.  ``load`` reads
+the dtype of each tensor line from :data:`DTYPES`; files written by
+earlier versions, which stored float32, still load.  Writes go to a
 temporary file in the target directory followed by an atomic rename
 (:func:`atomic_write`, which every file writer in the package uses).
 """
@@ -25,6 +27,7 @@ import numpy as np
 from ..errors import ParseError
 
 MAGIC = "REVERB-CKPT 1"
+DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 
 def atomic_write(path, data):
@@ -62,14 +65,13 @@ def save(path, arrays: dict, meta: dict | None = None):
             raise ValueError(f"tensor names must not contain spaces: {name!r}")
         if np.ndim(arrays[name]) == 0:
             raise ValueError(f"scalar {name!r} belongs in meta, not the blob")
-        a = np.ascontiguousarray(np.asarray(arrays[name]), dtype="<f4")
+        a = np.ascontiguousarray(arrays[name], dtype=DTYPES["float64"])
         dims = ",".join(str(d) for d in a.shape)
-        lines.append(f"tensor {name} float32 {dims} {offset}")
-        raw = a.tobytes(order="C")
-        blobs.append(raw)
-        offset += len(raw)
+        lines.append(f"tensor {name} float64 {dims} {offset}")
+        blobs.append(a)
+        offset += a.nbytes
     lines.append(f"blob {offset}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode("ascii") + b"".join(blobs))
+    atomic_write(path, b"".join([("\n".join(lines) + "\n").encode("ascii"), *blobs]))
 
 
 def load(path):
@@ -95,10 +97,11 @@ def load(path):
                 meta[parts[1]] = parts[2]
             elif text.startswith("tensor "):
                 parts = text.split(" ")
-                if len(parts) != 5 or parts[2] != "float32":
+                if len(parts) != 5 or parts[2] not in DTYPES:
                     raise ParseError(f"bad tensor line {text!r}", path=path, line=line_no)
                 shape = tuple(_count(d, "shape", path, line_no) for d in parts[3].split(","))
-                entries.append((parts[1], shape, _count(parts[4], "offset", path, line_no)))
+                entries.append((parts[1], DTYPES[parts[2]], shape,
+                                _count(parts[4], "offset", path, line_no)))
             elif text.startswith("blob "):
                 blob_size = _count(text[len("blob "):], "blob size", path, line_no)
                 break
@@ -110,12 +113,11 @@ def load(path):
             f"blob size mismatch: manifest {blob_size}, file {len(blob)}", path=path
         )
     arrays = {}
-    for name, shape, offset in entries:
+    for name, dtype, shape, offset in entries:
         count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
-        if end > blob_size:
+        if offset + dtype.itemsize * count > blob_size:
             raise ParseError(f"tensor {name!r} overruns the blob", path=path)
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        flat = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
         arrays[name] = flat.reshape(shape).astype(np.float64)
     return arrays, meta
 

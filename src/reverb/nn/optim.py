@@ -34,11 +34,3 @@ class Adam:
         den = np.sqrt(self.v / bc2) + self.eps  # apart: two full-size temporaries, not three
         self.store.values -= self.lr * (self.m / bc1) / den
 
-    def state_arrays(self) -> dict:
-        return {**self.store.state_arrays(self.m, "adam.m."),
-                **self.store.state_arrays(self.v, "adam.v.")}
-
-    def load_arrays(self, arrays: dict, step_count: int):
-        self.store.load_arrays(arrays, self.m, "adam.m.")
-        self.store.load_arrays(arrays, self.v, "adam.v.")
-        self.step_count = int(step_count)

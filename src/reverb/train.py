@@ -3,8 +3,12 @@
 Every epoch draws its own generator seeded by (run seed, epoch index),
 so a resumed run consumes exactly the random stream the uninterrupted
 run would have, and two runs with the same seed produce byte-identical
-checkpoints and logs.  The loop is single-threaded by design; that is
-the reference path the determinism guarantees are stated for.
+checkpoints and logs.  Checkpoints hold the float64 state as trained, so
+a resumed run writes the same bytes as an uninterrupted one.  This
+module alone names the checkpoint keys: each parameter's name, the same
+name under ``adam.m.`` and ``adam.v.``, and the meta fields.  The loop
+is single-threaded by design; that is the reference path the
+determinism guarantees are stated for.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ class EpochStats:
 
 def save_checkpoint(path, model: ReverbPredictor, adam: Adam, epoch: int,
                     cfg: RunConfig):
-    arrays = dict(model.store.state_arrays())
-    arrays.update(adam.state_arrays())
+    store = model.store
+    arrays = {**store.state_arrays(), **store.state_arrays(adam.m, "adam.m."),
+              **store.state_arrays(adam.v, "adam.v.")}
     meta = {
         "epoch": epoch,
         "seed": cfg.seed,
@@ -51,8 +56,7 @@ def load_model(path, cfg: RunConfig) -> tuple:
     """
     arrays, meta = checkpoint.load(path)
     model = ReverbPredictor(cfg.model, seed=cfg.seed)
-    weights = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
-    model.store.load_arrays(weights)
+    model.store.load_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
     want = model_hash(cfg.model)
     got = meta.get("model_hash", "")
     if got and got != want:
@@ -92,16 +96,19 @@ def run_training(cfg: RunConfig, samples, out_dir, resume=None,
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
 
-    model = ReverbPredictor(cfg.model, seed=cfg.seed)
+    if resume is None:
+        model = ReverbPredictor(cfg.model, seed=cfg.seed)
+    else:
+        model, arrays, meta = load_model(resume, cfg)
     adam = Adam(model.store, lr=cfg.lr)
     start_epoch = 0
     if resume is not None:
-        model, arrays, meta = load_model(resume, cfg)
-        adam = Adam(model.store, lr=cfg.lr)
-        try:
-            adam.load_arrays(arrays, step_count=_meta_int(meta, "adam_t", resume))
-        except ConfigError as e:  # the weights matched, so the file is at fault
+        try:  # the weights matched, so a bad moment is the file's fault
+            model.store.load_arrays(arrays, adam.m, "adam.m.")
+            model.store.load_arrays(arrays, adam.v, "adam.v.")
+        except ConfigError as e:
             raise ParseError(str(e), path=resume) from None
+        adam.step_count = _meta_int(meta, "adam_t", resume)
         start_epoch = _meta_int(meta, "epoch", resume)
 
     encoded = model.encode(samples)

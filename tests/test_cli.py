@@ -9,8 +9,9 @@ import pytest
 from reverb import cli
 from reverb.config import load_config
 from reverb.model import ReverbPredictor
+from reverb.nn import checkpoint
 from reverb.nn.optim import Adam
-from reverb.train import save_checkpoint
+from reverb.train import load_model, save_checkpoint
 
 
 def run(argv):
@@ -156,17 +157,19 @@ MALFORMED_INPUTS = {
                              "model.bin", "bad magic"),
     "checkpoint_truncated_manifest": ("model.bin", rb"(?s)\ntensor .*", b"\n", 2,
                                       "model.bin", "truncated manifest"),
-    "checkpoint_bad_shape": ("model.bin", rb"(tensor \S+ float32 )[0-9,]+",
+    "checkpoint_bad_shape": ("model.bin", rb"(tensor \S+ float64 )[0-9,]+",
                              rb"\g<1>2,x", 2, "model.bin", "shape"),
-    "checkpoint_blob_overrun": ("model.bin", rb"(tensor \S+ float32 [0-9,]+ )\d+",
+    "checkpoint_blob_overrun": ("model.bin", rb"(tensor \S+ float64 [0-9,]+ )\d+",
                                 rb"\g<1>999999999", 2, "model.bin", "overruns"),
+    "checkpoint_bad_dtype": ("model.bin", rb"(tensor \S+ )float64", rb"\1float16", 2,
+                             "model.bin", "line 7: bad tensor line"),
     "checkpoint_missing_epoch": ("model.bin", rb"meta epoch \d+\n", b"", 2,
                                  "model.bin", "epoch"),
     "checkpoint_missing_adam_t": ("model.bin", rb"meta adam_t \d+\n", b"", 2,
                                   "model.bin", "adam_t"),
     "checkpoint_missing_adam_state": ("model.bin", rb"(tensor adam\.\S+ [^\n]*\n)+", b"",
                                       2, "model.bin", "missing adam.m.enc.alpha.0.w"),
-    "checkpoint_bad_adam_shape": ("model.bin", rb"(tensor adam\.m\.\S+ float32 )[0-9,]+",
+    "checkpoint_bad_adam_shape": ("model.bin", rb"(tensor adam\.m\.\S+ float64 )[0-9,]+",
                                   rb"\g<1>1", 2, "model.bin",
                                   "shape adam.m.enc.alpha.0.b: checkpoint (1,)"),
 }
@@ -186,6 +189,31 @@ def test_malformed_input_exit_code_and_message(tmp_path, capsys, case):
     assert str(tmp_path / named) in err
     assert text in err
     assert "Traceback" not in err
+
+
+def write_float32_checkpoint(path, arrays, meta):
+    """Write a checkpoint in the float32 layout that earlier versions wrote:
+    the manifest of the README's file formats, then little-endian float32."""
+    lines, blob = ["REVERB-CKPT 1"] + [f"meta {k} {meta[k]}" for k in sorted(meta)], b""
+    for name in sorted(arrays):
+        a = np.asarray(arrays[name], dtype="<f4")
+        lines.append(f"tensor {name} float32 {','.join(map(str, a.shape))} {len(blob)}")
+        blob += a.tobytes()
+    lines.append(f"blob {len(blob)}")
+    path.write_bytes(("\n".join(lines) + "\n").encode("ascii") + blob)
+
+
+def test_float32_checkpoint_of_earlier_versions_loads_and_resumes(tmp_path):
+    files = valid_inputs(tmp_path)
+    arrays, meta = checkpoint.load(files["model.bin"])
+    write_float32_checkpoint(files["model.bin"], arrays, meta)
+    cfg = load_config(str(files["run.ini"]))
+    model, _, _ = load_model(str(files["model.bin"]), cfg)
+    for name, p in model.store.items():
+        assert p.data.dtype == np.float64
+        np.testing.assert_array_equal(p.data, arrays[name].astype(np.float32))
+    assert run(["train", "--config", str(files["run.ini"]),
+                "--resume", str(files["model.bin"]), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -36,6 +36,14 @@ class TestMinAdeFde:
         assert ade == pytest.approx(1.0)
         assert fde == pytest.approx(1.0)
 
+    def test_hand_case_three_and_one(self):
+        gt = np.zeros((6, 2))
+        preds = np.stack([
+            gt + np.array([3.0, 0.0]),
+            gt + np.array([1.0, 0.0]),
+        ])
+        assert min_ade_fde(preds, gt)[0] == pytest.approx(1.0)
+
     def test_minima_are_independent(self):
         gt = np.zeros((4, 2))
         # Row 0: tiny average error but a bad final step.
@@ -57,6 +65,13 @@ class TestMinAdeFde:
         a1, f1 = min_ade_fde(preds, gt)
         a2, f2 = min_ade_fde(extra, gt)
         assert a2 <= a1 and f2 <= f1
+
+    def test_monotone_in_generations(self):
+        rng = np.random.default_rng(31)
+        gt = rng.normal(size=(6, 2))
+        preds = rng.normal(size=(8, 6, 2))
+        ades = [min_ade_fde(preds[:k], gt)[0] for k in range(1, 9)]
+        assert all(a >= b for a, b in zip(ades, ades[1:]))
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):

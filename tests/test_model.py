@@ -8,12 +8,8 @@ from reverb.data import Sample, inject_manual_neighbor, preprocess
 from reverb.errors import ConfigError, ShapeError
 from reverb.kernels import ReverbKernelPair, reverberation_transform, sequential_similarity
 from reverb.linear import linear_fit
-from reverb.model import (
-    EncodedBatch,
-    ModelConfig,
-    ReverbPredictor,
-    best_of_k_loss,
-)
+from reverb.metrics import min_ade_fde
+from reverb.model import EncodedBatch, ModelConfig, ReverbPredictor
 from reverb.nn import tensor as T
 from reverb.transforms import TimeSeq
 
@@ -288,32 +284,6 @@ class TestInvariances:
         assert np.abs(a.values - b.values).max() > 1e-8
 
 
-class TestBestOfK:
-    def test_perfect_generation_gives_zero(self):
-        gt = np.random.default_rng(30).normal(size=(6, 2))
-        values = np.stack([gt + 5.0, gt])
-        assert best_of_k_loss(values, gt) == 0.0
-
-    def test_hand_case_three_and_one(self):
-        gt = np.zeros((6, 2))
-        values = np.stack([
-            gt + np.array([3.0, 0.0]),
-            gt + np.array([1.0, 0.0]),
-        ])
-        assert best_of_k_loss(values, gt) == pytest.approx(1.0)
-
-    def test_monotone_in_generations(self):
-        rng = np.random.default_rng(31)
-        gt = rng.normal(size=(6, 2))
-        values = rng.normal(size=(8, 6, 2))
-        losses = [best_of_k_loss(values[:k], gt) for k in range(1, 9)]
-        assert all(a >= b for a, b in zip(losses, losses[1:]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            best_of_k_loss(np.zeros((2, 5, 2)), np.zeros((6, 2)))
-
-
 class TestLossGraph:
     def test_loss_matches_numpy_oracle(self):
         model = ReverbPredictor(toy_config(), seed=32)
@@ -322,7 +292,7 @@ class TestLossGraph:
         noise = model.zero_noise()
         loss, pred, _ = model.loss(batch, noise)
         per_sample = [
-            best_of_k_loss(pred.data[b], batch.gt[b]) for b in range(batch.size)
+            min_ade_fde(pred.data[b], batch.gt[b])[0] for b in range(batch.size)
         ]
         assert loss.data == pytest.approx(np.mean(per_sample), rel=1e-9)
 

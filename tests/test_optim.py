@@ -4,9 +4,9 @@ import os
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from reverb.errors import ConfigError, ParseError, TrainingError
+from reverb.errors import ParseError, TrainingError
 from reverb.nn import tensor as T
 from reverb.nn.checkpoint import load, save
 from reverb.nn.layers import ParameterStore
@@ -57,32 +57,6 @@ class TestAdam:
             opt.step()
         assert abs(p.data[0]) < 0.2
 
-    def test_state_round_trip(self):
-        store = ParameterStore(seed=0)
-        p = store.add("p", (2,), "ones")
-        opt = Adam(store, lr=0.01)
-        p.grad[...] = [0.5, -0.5]
-        opt.step()
-        state = opt.state_arrays()
-        opt2 = Adam(store, lr=0.01)
-        opt2.load_arrays(state, step_count=opt.step_count)
-        assert opt2.step_count == 1
-        assert_allclose(opt2.m, opt.m, atol=0)
-        assert_allclose(opt2.v, opt.v, atol=0)
-
-    def test_state_load_names_a_missing_or_misshaped_moment(self):
-        store = ParameterStore(seed=0)
-        store.add("a", (2,), "ones")
-        store.add("b", (3,), "ones")
-        state = Adam(store).state_arrays()
-        del state["adam.v.b"]
-        with pytest.raises(ConfigError, match=r"missing adam\.v\.b"):
-            Adam(store).load_arrays(state, step_count=1)
-        state["adam.v.b"] = np.zeros(3)
-        state["adam.m.a"] = np.zeros(1)
-        with pytest.raises(ConfigError, match=r"shape adam\.m\.a: checkpoint \(1,\)"):
-            Adam(store).load_arrays(state, step_count=1)
-
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -98,8 +72,8 @@ class TestCheckpoint:
         assert set(loaded) == set(arrays)
         for name in arrays:
             assert loaded[name].shape == arrays[name].shape
-            # float32 storage: ~7 significant digits survive
-            assert_allclose(loaded[name], arrays[name], rtol=1e-6, atol=1e-6)
+            # float64 storage: the same bits come back
+            assert_array_equal(loaded[name], arrays[name])
 
     def test_byte_identical_across_dict_orders(self, tmp_path):
         rng = np.random.default_rng(91)

@@ -73,7 +73,7 @@ class TestTinyRunPin:
     the loss log or the final checkpoint."""
 
     LOSS_LOG_SHA = "bde9890836f9d60fa24bfd4b3a12e7a083d64da575196bc1226d34ea5f3ffb88"
-    FINAL_SHA = "6d296728cdd3a1e456538e24149037a747c264f8545bfc79774406ad22f22924"
+    FINAL_SHA = "d13db82cd015fccb06af0521969dc57ac998d1ad50d8a2bb60dd0dac24d74b14"
 
     def test_loss_log_and_final_checkpoint_bytes(self, tmp_path):
         cfg = tiny_cfg()
@@ -120,8 +120,8 @@ def test_resume_continues_epoch_numbering(tmp_path):
 
 
 def test_resume_reuses_the_uninterrupted_random_stream(tmp_path):
-    # Weights pass through a float32 checkpoint, so losses drift at the
-    # 7th digit; the per-epoch streams must still line up exactly.
+    # The per-epoch streams must line up; this holds for any checkpoint
+    # precision (files of earlier versions hold float32 weights).
     cfg = tiny_cfg(epochs=4, checkpoint_every=2)
     samples = tiny_samples(cfg)
     full = run_training(cfg, samples, str(tmp_path / "full"))
@@ -131,6 +131,33 @@ def test_resume_reuses_the_uninterrupted_random_stream(tmp_path):
     res_tail = [s.mean_loss for s in resumed["history"]]
     assert [s.epoch for s in resumed["history"]] == [3, 4]
     np.testing.assert_allclose(res_tail, full_tail, rtol=1e-4)
+
+
+def test_resume_is_byte_exact(tmp_path):
+    cfg = tiny_cfg(epochs=4, checkpoint_every=2)
+    samples = tiny_samples(cfg)
+    full = run_training(cfg, samples, str(tmp_path / "full"))
+    mid = str(tmp_path / "full" / "checkpoints" / "epoch0002.bin")
+    resumed = run_training(cfg, samples, str(tmp_path / "resumed"), resume=mid)
+    read = lambda path: open(path, "rb").read()
+    assert read(resumed["final_checkpoint"]) == read(full["final_checkpoint"])
+    rows = lambda run: read(tmp_path / run / "loss_log.csv").splitlines()
+    assert rows("resumed")[2:] == rows("full")[4:6]
+
+
+def test_resume_builds_the_model_and_adam_once(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    samples = tiny_samples(cfg)
+    run_training(cfg, samples, str(tmp_path / "full"))
+    built = []
+    for cls in (ReverbPredictor, Adam):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    mid = str(tmp_path / "full" / "checkpoints" / "epoch0002.bin")
+    run_training(cfg, samples, str(tmp_path / "resumed"), resume=mid)
+    assert sorted(built) == ["Adam", "ReverbPredictor"]
 
 
 def test_progress_callback_sees_every_epoch(tmp_path):
@@ -150,8 +177,7 @@ def test_load_model_round_trip(tmp_path):
     assert any(k.startswith("adam.m.") for k in arrays)
     loaded = dict(model.store.items())
     for name, p in out["model"].store.items():
-        np.testing.assert_allclose(loaded[name].data, p.data,
-                                   rtol=1e-6, atol=1e-6)
+        np.testing.assert_array_equal(loaded[name].data, p.data)
 
 
 def test_load_model_rejects_wrong_dimensions(tmp_path):
@@ -201,8 +227,8 @@ def test_training_loss_decreases_on_average(tmp_path):
 # Each case edits the manifest of a valid checkpoint, which then has to
 # fail the resume with a ParseError naming the file.
 MALFORMED = {
-    "shape": (rb"(tensor \S+ float32 )[0-9,]+", rb"\g<1>2,x"),
-    "offset": (rb"(tensor \S+ float32 [0-9,]+ )0", rb"\g<1>zero"),
+    "shape": (rb"(tensor \S+ float64 )[0-9,]+", rb"\g<1>2,x"),
+    "offset": (rb"(tensor \S+ float64 [0-9,]+ )0", rb"\g<1>zero"),
     "blob_size": (rb"\nblob \d+", rb"\nblob 1e3"),
     "meta_value": (rb"meta seed \d+", rb"meta seed"),
     "missing_epoch": (rb"meta epoch \d+\n", rb""),
