@@ -24,12 +24,14 @@ stays the general-F oracle this closed form is tested against.
 
 There is one path from samples to forecast, and it is batched:
 ``encode`` stacks every ego window of a batch, and every neighbor window
-as one ego-neighbor pair, and runs the linear fit, the transforms and
-the partitioning once on each stack; ``forward`` runs both branches on
-the whole batch and reports each branch's kernels and delta in its
-``info`` dict.  A single sample is a batch of one.  The social branch
-stores one row block per pair (the neighbor's own-frame spectrum) and
-reads the pair's ego side from ``spec_x``.
+as one ego-neighbor pair, moves each stack into the ego frames with one
+subtraction, and runs the linear fit, the transforms and the
+partitioning once on each stack; ``forward`` runs both branches on the
+whole batch and reports each branch's kernels and delta in its ``info``
+dict; ``predict`` adds the offsets back once for the batch and hands
+each sample views of the batch arrays.  A single sample is a batch of
+one.  The social branch stores one row block per pair (the neighbor's
+own-frame spectrum) and reads the pair's ego side from ``spec_x``.
 
 Branch and kernel toggles reproduce the ablation grid.  A disabled
 branch contributes an exact zero delta (shapes stay fixed, and no
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .data import preprocess
+from .data import preprocess  # noqa: F401  (perfbench/spans.py counts its calls here)
 from .errors import ConfigError, ShapeError
 from .kernels import ReverbKernelPair
 from .linear import linear_fit
@@ -132,19 +134,20 @@ class ModelConfig:
 
 @dataclass
 class EncodedBatch:
-    """Numpy-side encoding of a list of preprocessed samples.
+    """Numpy-side encoding of a batch of samples, in the ego frames.
 
+    ``offsets`` (B, M) are the shifts back to the world frame: each ego's
+    last observed point, or a preprocessed sample's own ``offset``.
     The social fields hold one entry per ego-neighbor pair, in one
     contiguous block per sample, in sample order: ``nbr_spec`` (P, T_h, M)
     is the neighbor's own-frame spectrum, ``pair_sample`` (P,) the sample
     it belongs to and ``pair_rows`` (P, T_h) its bucket per spectrum row.
-    The ego side of a pair is ``spec_x[pair_sample]``: a preprocessed ego
+    The ego side of a pair is ``spec_x[pair_sample]``: an ego-frame ego
     already ends at the origin, so its own-frame spectrum is ``spec_x``
     itself.  The fields are None when the social branch is off and have
     P = 0 when the batch has no neighbors.
     """
 
-    samples: list
     spec_x: np.ndarray
     spec_lin: np.ndarray
     spec_res: np.ndarray
@@ -162,7 +165,6 @@ class EncodedBatch:
     def subset(self, indices) -> "EncodedBatch":
         idx = np.asarray(indices, dtype=np.int64)
         out = EncodedBatch(
-            samples=[self.samples[i] for i in idx],
             spec_x=self.spec_x[idx],
             spec_lin=self.spec_lin[idx],
             spec_res=self.spec_res[idx],
@@ -260,11 +262,15 @@ class ReverbPredictor:
     # Encoding (numpy side)
 
     def encode(self, samples) -> EncodedBatch:
-        """Preprocess samples and encode the egos and the ego-neighbor pairs
-        as one stack each."""
+        """Encode the egos and the ego-neighbor pairs as one stack each.
+
+        A raw sample is shifted by its ego's last observed point, as
+        ``data.preprocess`` does; a preprocessed one (``offset`` set) is
+        shifted by 0.  Each stack subtracts its shifts once.
+        """
         c = self.config
-        prepped = [preprocess(raw) for raw in samples]
-        for b, s in enumerate(prepped):
+        samples = list(samples)
+        for b, s in enumerate(samples):
             if s.ego.values.shape != (c.t_h, c.m):
                 raise ShapeError(
                     f"sample {b}: ego window {s.ego.values.shape}, expected {(c.t_h, c.m)}"
@@ -279,22 +285,25 @@ class ReverbPredictor:
                         f"sample {b}: neighbor window {nbr.values.shape}, "
                         f"expected {(c.t_h, c.m)}"
                     )
-        ego = np.stack([s.ego.values for s in prepped])
+        offsets = np.stack([s.ego.values[-1] if s.offset is None else s.offset
+                            for s in samples])
+        shift = np.where([[s.offset is None] for s in samples], offsets, 0.0)[:, None, :]
+        ego = np.stack([s.ego.values for s in samples]) - shift
         fit = linear_fit(ego, c.t_f)
         batch = EncodedBatch(
-            samples=prepped,
             spec_x=transforms.forward_values(ego, c.transform),
             spec_lin=transforms.forward_values(fit.fitted, c.transform),
             spec_res=transforms.forward_values(ego - fit.fitted, c.transform),
             y_lin=fit.predicted,
-            gt=np.stack([s.gt.values for s in prepped]),
-            offsets=np.stack([s.offset for s in prepped]),
+            gt=np.stack([s.gt.values for s in samples]) - shift,
+            offsets=offsets,
         )
         if c.use_soc:
-            nbr = np.reshape([v.values for s in prepped for v in s.neighbors],
+            nbr = np.reshape([v.values for s in samples for v in s.neighbors],
                              (-1, c.t_h, c.m))
-            batch.pair_sample = np.repeat(np.arange(len(prepped), dtype=np.int64),
-                                          [len(s.neighbors) for s in prepped])
+            batch.pair_sample = np.repeat(np.arange(len(samples), dtype=np.int64),
+                                          [len(s.neighbors) for s in samples])
+            nbr = nbr - shift[batch.pair_sample]
             batch.nbr_spec = self.social.own_spectrum(nbr)
             batch.pair_rows = self.social.row_partitions(ego[batch.pair_sample], nbr)
         return batch
@@ -440,27 +449,31 @@ class ReverbPredictor:
     # Inference-facing wrappers
 
     def predict(self, samples, rng=None, noise: dict | None = None) -> list:
-        """World-frame hypotheses per sample; zero noise when rng is None."""
+        """World-frame hypotheses per sample; zero noise when rng is None.
+
+        Each sample's arrays are views of the batch's: its rows of the
+        world-frame forecasts and of the kernels the branches used.
+        """
         if noise is None:
             noise = self.draw_noise(rng) if rng is not None else self.zero_noise()
+        samples = list(samples)
         batch = self.encode(samples)
         with T.no_grad():
             pred, info = self.forward(batch, noise)
-        out = []
-        for b, s in enumerate(batch.samples):
-            values = pred.data[b] + batch.offsets[b][None, None, :]
-            out.append(
-                PredictionBatch(
-                    values=values,
-                    y_lin=batch.y_lin[b] + batch.offsets[b][None, :],
-                    kernels_non=self._pair(info, "non", b),
-                    kernels_soc=self._pair(info, "soc", b),
-                    scene_id=s.scene_id,
-                    agent_id=s.agent_id,
-                    start_frame=s.start_frame,
-                )
+        values = pred.data + batch.offsets[:, None, None, :]
+        y_lin = batch.y_lin + batch.offsets[:, None, :]
+        return [
+            PredictionBatch(
+                values=values[b],
+                y_lin=y_lin[b],
+                kernels_non=self._pair(info, "non", b),
+                kernels_soc=self._pair(info, "soc", b),
+                scene_id=s.scene_id,
+                agent_id=s.agent_id,
+                start_frame=s.start_frame,
             )
-        return out
+            for b, s in enumerate(samples)
+        ]
 
     def _pair(self, info: dict, branch: str, b: int):
         r, g = info[f"r_{branch}"], info[f"g_{branch}"]
@@ -468,4 +481,4 @@ class ReverbPredictor:
             return None
         r_b = r.data[b] if r.data.shape[0] > 1 else r.data[0]
         g_b = g.data[b] if g.data.shape[0] > 1 else g.data[0]
-        return ReverbKernelPair(r=np.array(r_b), g=np.array(g_b))
+        return ReverbKernelPair(r=r_b, g=g_b)

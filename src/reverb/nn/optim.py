@@ -6,6 +6,10 @@ import numpy as np
 
 from .layers import ParameterStore
 
+# Values per chunk of ``Adam.step``: the chunk's four state slices and the
+# two scratch buffers (256 kB each) stay in L2 cache.
+CHUNK = 32768
+
 
 class Adam:
     def __init__(self, store: ParameterStore, lr: float = 3e-4,
@@ -18,19 +22,39 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(store.pack())
         self.v = np.zeros_like(self.m)
+        self._scratch = np.empty((2, min(CHUNK, self.m.size)))
 
     def step(self):
-        """One update of every parameter from the store's gradient vector."""
+        """One update of every parameter from the store's gradient vector.
+
+        Runs chunk by chunk through two small reused buffers, so no
+        full-size temporary is allocated; each value sees the same
+        operations, in the same order, as the whole-vector update
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+        ``w -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``.
+        """
         g = self.store.grads
         self.store.check_finite("gradient of", g)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (g * g)
-        den = np.sqrt(self.v / bc2) + self.eps  # apart: two full-size temporaries, not three
-        self.store.values -= self.lr * (self.m / bc1) / den
-
+        w = self.store.values
+        for lo in range(0, g.size, CHUNK):
+            hi = min(lo + CHUNK, g.size)
+            m, v, gc, wc = self.m[lo:hi], self.v[lo:hi], g[lo:hi], w[lo:hi]
+            a, b = self._scratch[:, :hi - lo]
+            m *= self.beta1
+            np.multiply(gc, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(gc, gc, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bc1, out=b)
+            b *= self.lr
+            b /= a
+            wc -= b

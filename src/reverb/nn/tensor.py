@@ -26,6 +26,12 @@ replace:
 ``attention(q, k, v, heads, scale)``
     multi-head scaled dot-product attention: head split, scores,
     softmax, context and head merge; keeps only the probabilities.
+
+``segment_mean`` and the vjp of ``index_select`` add rows by id through
+one ``np.bincount`` over flattened ``(id, column)`` keys
+(``_scatter_add_rows``).  It adds in row order starting from +0.0, as
+``np.add.at`` does, so the bytes are the same, at about a quarter of the
+time.
 """
 
 from __future__ import annotations
@@ -471,6 +477,16 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
     return _make(merge(p @ vh, lq), (q, k, v), vjp)
 
 
+def _scatter_add_rows(values, ids, num_rows: int) -> np.ndarray:
+    """``out[i]`` = the sum of the axis-0 rows of ``values`` whose id is
+    ``i``, added in row order from +0.0; rows no id names are zero."""
+    tail = values.shape[1:]
+    width = int(np.prod(tail))
+    keys = np.add.outer(ids * width, np.arange(width)).ravel()
+    flat = np.bincount(keys, weights=values.reshape(-1), minlength=num_rows * width)
+    return flat.astype(np.float64, copy=False).reshape((num_rows,) + tail)  # int64 when empty
+
+
 def index_select(a, idx, axis=0) -> Tensor:
     """Gather rows by an integer array along ``axis`` (repeats allowed)."""
     a = _as_tensor(a)
@@ -478,9 +494,9 @@ def index_select(a, idx, axis=0) -> Tensor:
     expanded = (slice(None),) * axis + (idx,)
 
     def vjp(g):
-        z = np.zeros(a.shape)
-        np.add.at(z, expanded, g)
-        return (z,)
+        rows = idx % max(a.shape[axis], 1)  # negative ids from the end, as the gather read them
+        z = _scatter_add_rows(np.moveaxis(g, axis, 0), rows, a.shape[axis])
+        return (np.moveaxis(z, 0, axis),)
 
     return _make(a.data[expanded], (a,), vjp)
 
@@ -508,8 +524,7 @@ def segment_mean(a, ids, num_segments: int) -> Tensor:
     if ids.shape[0] != a.shape[0]:
         raise ShapeError("one segment id per leading row required")
     counts = np.bincount(ids, minlength=num_segments).astype(np.float64)
-    sums = np.zeros((num_segments,) + a.shape[1:])
-    np.add.at(sums, ids, a.data)
+    sums = _scatter_add_rows(a.data, ids, num_segments)
     safe = np.maximum(counts, 1.0).reshape((-1,) + (1,) * (a.ndim - 1))
 
     def vjp(g):

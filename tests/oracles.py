@@ -4,7 +4,11 @@ The layer oracles build their results from elementary tape ops
 (``matmul``, ``add``, ``mean_``, ``softmax``, ...), one node per step,
 so their forwards and gradients come from the generic vjps alone; the
 fused ops in ``reverb.nn.tensor`` and the split query projection in
-``ReverbPredictor._query`` must agree with them.  ``change_point_frame``
+``ReverbPredictor._query`` must agree with them.  The scatter oracles
+add rows by id with ``np.add.at``, where ``segment_mean`` and the
+``index_select`` vjp use one ``np.bincount``.  ``encode_preprocessed``
+stacks ``preprocess`` of each sample, which ``ReverbPredictor.encode``'s
+shift of whole stacks must equal byte for byte.  ``change_point_frame``
 locates the planted heading change of the synthetic generator.
 """
 
@@ -12,7 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from reverb import transforms
+from reverb.data import preprocess
 from reverb.errors import InsufficientDataError
+from reverb.linear import linear_fit
 from reverb.nn import tensor as T
 
 
@@ -53,6 +60,43 @@ def query_projection(proj, query_parts, z, rows: int):
     tiled = [T.concat([p] * (rows // p.shape[1]), axis=1) for p in query_parts]
     zt = T.Tensor(np.broadcast_to(z, (bsz, rows, z.shape[0])))
     return dense(T.concat([*tiled, zt], axis=2), proj.w, proj.b)
+
+
+def segment_mean(values: np.ndarray, ids, num_segments: int) -> np.ndarray:
+    """Per-segment mean of the rows of ``values``, summed with ``np.add.at``."""
+    sums = np.zeros((num_segments,) + values.shape[1:])
+    np.add.at(sums, ids, values)
+    counts = np.bincount(ids, minlength=num_segments).astype(np.float64)
+    return sums / np.maximum(counts, 1.0).reshape((-1,) + (1,) * (values.ndim - 1))
+
+
+def index_select_vjp(shape: tuple, idx, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of ``a[..., idx, ...]`` (``idx`` on ``axis``) for
+    upstream ``g``, scattered with ``np.add.at``."""
+    out = np.zeros(shape)
+    np.add.at(out, (slice(None),) * axis + (np.asarray(idx),), g)
+    return out
+
+
+def encode_preprocessed(model, samples) -> dict:
+    """``EncodedBatch`` fields from ``[preprocess(s) for s in samples]``."""
+    c = model.config
+    prepped = [preprocess(s) for s in samples]
+    ego = np.stack([s.ego.values for s in prepped])
+    fit = linear_fit(ego, c.t_f)
+    nbr = np.reshape([v.values for s in prepped for v in s.neighbors], (-1, c.t_h, c.m))
+    pair_sample = np.repeat(np.arange(len(prepped)), [len(s.neighbors) for s in prepped])
+    return {
+        "spec_x": transforms.forward_values(ego, c.transform),
+        "spec_lin": transforms.forward_values(fit.fitted, c.transform),
+        "spec_res": transforms.forward_values(ego - fit.fitted, c.transform),
+        "y_lin": fit.predicted,
+        "gt": np.stack([s.gt.values for s in prepped]),
+        "offsets": np.stack([s.offset for s in prepped]),
+        "nbr_spec": model.social.own_spectrum(nbr),
+        "pair_sample": pair_sample,
+        "pair_rows": model.social.row_partitions(ego[pair_sample], nbr),
+    }
 
 
 def change_point_frame(xy: np.ndarray) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from reverb.errors import ShapeError
 from reverb.nn import tensor as T
 from reverb.nn.gradcheck import grad_check
@@ -178,6 +179,39 @@ class TestGatherScatter:
         assert_allclose(out.data[4], 0.0)
         w = T.Tensor(rng.normal(size=(5, 2)))
         check(lambda: T.sum_(T.segment_mean(x, ids, 5) * w), {"x": x})
+
+
+class TestScatterBytes:
+    """``segment_mean`` and the ``index_select`` vjp add rows by id with
+    ``np.bincount``; their bytes equal the ``np.add.at`` oracles'.  Ids
+    repeat, segment 1 is empty, some values are -0.0 (added to the +0.0
+    start they give +0.0) and magnitudes span 12 decades, so that a
+    different order of addition changes the sums."""
+
+    IDS = np.random.default_rng(64).choice([0, 2, 3, 4], size=40)
+
+    @staticmethod
+    def values(rng, shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        x[::3] = -0.0
+        return x
+
+    @pytest.mark.parametrize("tail", [(), (5,), (3, 4)])
+    def test_segment_mean_forward_equals_add_at(self, tail):
+        x = self.values(np.random.default_rng(62), (len(self.IDS),) + tail)
+        out = T.segment_mean(T.Tensor(x), self.IDS, 5)
+        assert out.data.tobytes() == oracles.segment_mean(x, self.IDS, 5).tobytes()
+        assert not np.signbit(out.data[1]).any()
+
+    @pytest.mark.parametrize("shape,axis", [((4, 5), 0), ((4, 3, 2), 0), ((2, 4, 3), 1)])
+    def test_index_select_vjp_equals_add_at(self, shape, axis):
+        rng = np.random.default_rng(63)
+        x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+        idx = np.concatenate([[-1], self.IDS[self.IDS != 4]])  # -1 is row 3; row 1 is unread
+        out = T.index_select(x, idx, axis=axis)
+        w = self.values(rng, out.shape)
+        T.backward(T.sum_(out * T.Tensor(w)))
+        assert x.grad.tobytes() == oracles.index_select_vjp(shape, idx, w, axis).tobytes()
 
 
 class TestGraphMechanics:

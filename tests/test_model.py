@@ -1,8 +1,11 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
+import reverb.model
 from reverb import transforms
 from reverb.data import Sample, inject_manual_neighbor, preprocess
 from reverb.errors import ConfigError, ShapeError
@@ -108,7 +111,7 @@ class TestShapes:
 
     def test_wrong_window_length_rejected(self):
         model = ReverbPredictor(toy_config(), seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"sample 0: ego window \(6, 2\), expected \(4, 2\)"):
             model.encode([make_sample(t_h=6)])
 
 
@@ -352,6 +355,30 @@ class TestBatching:
             assert one.pair_rows.shape == (len(s.neighbors), cfg.hist_rows)
             assert one.pair_rows.dtype == np.int64
 
+    @pytest.mark.parametrize("kind,per_step", [("haar", True), ("dft", False)])
+    def test_mixed_samples_encode_as_preprocessed_stacks(self, kind, per_step, monkeypatch):
+        """Raw, already preprocessed and neighbour-less samples in one
+        batch encode byte for byte as ``preprocess`` of each, stacked;
+        ``encode`` itself never calls ``preprocess``."""
+        model = ReverbPredictor(toy_config(transform=kind, per_step_partitions=per_step),
+                                seed=39)
+        samples = [make_sample(seed=100, n_neighbors=2),
+                   preprocess(make_sample(seed=101, n_neighbors=3)),
+                   make_sample(seed=102, n_neighbors=0),
+                   preprocess(make_sample(seed=103, n_neighbors=0)),
+                   make_sample(seed=104, n_neighbors=1)]
+        want = oracles.encode_preprocessed(model, samples)
+
+        def no_preprocess(sample):
+            raise AssertionError("encode called preprocess")
+
+        monkeypatch.setattr(reverb.model, "preprocess", no_preprocess)
+        batch = model.encode(iter(samples))
+        assert batch.pair_sample.tolist() == [0, 0, 1, 1, 1, 4]
+        for name, value in want.items():
+            got = getattr(batch, name)
+            assert (got.shape, got.tobytes()) == (value.shape, value.tobytes()), name
+
     def test_subset_matches_fresh_encode(self):
         model = ReverbPredictor(toy_config(), seed=36)
         samples = [make_sample(seed=70 + i, n_neighbors=i % 3) for i in range(4)]
@@ -404,6 +431,52 @@ class TestBatching:
             pred.kernels_non.g, np.tanh(model.store["non.static_g"].data)
         )
         assert np.all(np.isfinite(pred.values))
+
+
+class TestPredict:
+    @staticmethod
+    def samples():
+        out = [replace(make_sample(seed=110 + i, n_neighbors=n), agent_id=f"a{i}",
+                       start_frame=float(i))
+               for i, n in enumerate((2, 0, 1, 3))]
+        out[1] = preprocess(out[1])
+        return out
+
+    @pytest.mark.parametrize("kernels", [{}, {"kernel_r": False, "kernel_g": False}])
+    def test_outputs_are_forward_plus_offsets(self, kernels):
+        """Each sample's values and ``y_lin`` are its rows of the forward
+        plus its offset, and its kernel pairs are its slices of ``info``
+        (the batch's one row when the kernel is shared)."""
+        model = ReverbPredictor(toy_config(**kernels), seed=40)
+        samples = self.samples()
+        preds = model.predict(samples)
+        batch = model.encode(samples)
+        with T.no_grad():
+            pred, info = model.forward(batch, model.zero_noise())
+        assert len(preds) == len(samples)
+        for b, (p, s) in enumerate(zip(preds, samples)):
+            assert p.values.tobytes() == (pred.data[b] + batch.offsets[b]).tobytes()
+            assert p.y_lin.tobytes() == (batch.y_lin[b] + batch.offsets[b]).tobytes()
+            assert (p.scene_id, p.agent_id, p.start_frame) == (
+                s.scene_id, s.agent_id, s.start_frame)
+            for branch in ("non", "soc"):
+                pair = getattr(p, f"kernels_{branch}")
+                for k in ("r", "g"):
+                    full = info[f"{k}_{branch}"].data
+                    want = full[b] if full.shape[0] > 1 else full[0]
+                    got = getattr(pair, k)
+                    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_any_iterable_predicts_as_the_list(self):
+        model = ReverbPredictor(toy_config(), seed=41)
+        samples = self.samples()
+        want = model.predict(samples)
+        for given in (iter(samples), (s for s in samples), tuple(samples)):
+            got = model.predict(given)
+            assert [p.agent_id for p in got] == [p.agent_id for p in want]
+            for p, q in zip(got, want):
+                assert p.values.tobytes() == q.values.tobytes()
+                assert p.y_lin.tobytes() == q.y_lin.tobytes()
 
 
 class TestClosedFormRehearsal:
