@@ -69,10 +69,11 @@ def grad_check(fn, params, h_scale: float = 1e-5, floor: float = 1e-5,
         for i in coords:
             orig = flat[i]
             h = h_scale * max(1.0, abs(orig))
-            flat[i] = orig + h
-            f_plus = float(fn().data)
-            flat[i] = orig - h
-            f_minus = float(fn().data)
+            with T.no_grad():  # the differences need values, not a tape
+                flat[i] = orig + h
+                f_plus = float(fn().data)
+                flat[i] = orig - h
+                f_minus = float(fn().data)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             rel = abs(ana_flat[i] - numeric) / max(abs(ana_flat[i]), abs(numeric), floor)

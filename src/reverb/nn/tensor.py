@@ -2,6 +2,9 @@
 
 Every op records its parents and a vector-Jacobian closure; ``backward``
 runs one reverse topological sweep, adding into each leaf's ``grad`` in place.
+The sweep consumes the graph: a node drops its parents and closure as it
+is passed, so a training step holds one tape at most, and a second
+backward through the same nodes raises ``RuntimeError``.
 All data is float64.  Gradient accumulation order is fixed by graph
 construction order, so repeated runs are bit-identical.
 
@@ -127,6 +130,9 @@ class Tensor:
         return mean_(self, axis, keepdims)
 
 
+_CONSUMED = object()  # the ``_vjp`` of a node that a backward has swept
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -154,7 +160,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(t: Tensor, seed=None):
-    """Reverse sweep from ``t``; leaf ``grad`` arrays accumulate in place."""
+    """Reverse sweep from ``t``; leaf ``grad`` arrays accumulate in place.
+
+    The sweep consumes the graph: each non-leaf node drops its parents
+    and its vjp before that vjp runs, so the saved arrays are freed as
+    the sweep passes them, even while the caller still holds ``t`` or
+    other outputs.  Leaves keep nothing and live on.  A later backward
+    that reaches a consumed node, through the same root or a new graph
+    built on it, raises ``RuntimeError`` before touching any gradient.
+    """
     if seed is None:
         if t.data.size != 1:
             raise ShapeError("backward without a seed needs a scalar output")
@@ -169,17 +183,28 @@ def backward(t: Tensor, seed=None):
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _CONSUMED:
+            raise RuntimeError(
+                f"backward reached a {node!r} whose graph an earlier backward "
+                "consumed; build the graph again to take another gradient")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     t.grad = np.asarray(seed, dtype=np.float64)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
+            continue  # a leaf
+        node._vjp, node._parents = _CONSUMED, ()
         g = node.grad
-        if g is None or node._vjp is None:
+        if g is None:
             continue
-        for p, pg in zip(node._parents, node._vjp(g)):
+        if node is not t:
+            node.grad = None  # intermediate grads are not kept
+        for p, pg in zip(parents, vjp(g)):
             if pg is None or not p.requires_grad:
                 continue
             if p._vjp is None:  # a leaf adds into its own buffer, never into ``pg``
@@ -188,8 +213,6 @@ def backward(t: Tensor, seed=None):
                 p.grad += pg
             else:
                 p.grad = pg if p.grad is None else p.grad + pg
-        if node is not t:
-            node.grad = None  # intermediate grads are not kept
 
 
 def add(a, b) -> Tensor:

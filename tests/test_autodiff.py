@@ -254,6 +254,23 @@ class TestGraphMechanics:
         T.backward(T.sum_(x * 2.0))
         assert_allclose(x.grad, 4.0)
 
+    def test_second_backward_on_the_same_root_raises(self):
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        out = T.sum_(x * 2.0)
+        T.backward(out)
+        with pytest.raises(RuntimeError, match="earlier backward consumed"):
+            T.backward(out)
+        assert_allclose(x.grad, 2.0, atol=0)
+
+    def test_new_graph_on_a_consumed_intermediate_raises(self):
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        h = x * 2.0
+        T.backward(T.sum_(h))
+        with pytest.raises(RuntimeError, match="earlier backward consumed"):
+            T.backward(T.sum_(h * 3.0))
+        assert_allclose(x.grad, 2.0, atol=0)
+        assert_allclose(h.data, 2.0, atol=0)
+
     def test_leaf_adds_in_place_without_touching_a_shared_vjp_array(self):
         # add's vjp hands the one seed array to both slots of x + x
         x = T.Tensor(np.ones(3), requires_grad=True)

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -307,6 +308,35 @@ class TestLossGraph:
         for name, p in model.store.items():
             assert p.grad is not None and np.abs(p.grad).max() > 0, name
             assert np.all(np.isfinite(p.grad)), name
+
+    def test_backward_consumes_the_graph_the_caller_still_holds(self, monkeypatch):
+        saved = []
+        affine = T.affine
+
+        def recording_affine(x, w, b, activation="none"):
+            out = affine(x, w, b, activation)
+            if activation == "relu":  # the vjp keeps the output's base array
+                saved.append(weakref.ref(out.data.base))
+            return out
+
+        monkeypatch.setattr(T, "affine", recording_affine)
+        model = ReverbPredictor(toy_config(), seed=36)
+        batch = model.encode([make_sample(seed=52, n_neighbors=2)])
+        loss, pred, info = model.loss(batch, model.zero_noise())
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        pred_bytes = pred.data.tobytes()
+        assert saved and all(ref() is not None for ref in saved)
+        T.backward(loss)
+        assert all(node._parents == () for node in nodes.values())
+        assert all(p._vjp is None for _, p in model.store.items())
+        del nodes, node
+        assert all(ref() is None for ref in saved)
+        assert pred.data.tobytes() == pred_bytes
 
     def test_alpha_beta_train_through_social_branch_alone(self):
         model = ReverbPredictor(toy_config(use_non=False), seed=34)
