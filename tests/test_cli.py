@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -357,6 +358,63 @@ def test_curves_csv(trained, tmp_path):
     assert per_step
     for total in per_step.values():
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def body_sha(path) -> str:
+    """sha256 over every line after the ``#`` header, which names tmp paths."""
+    lines = path.read_bytes().split(b"\n", 1)
+    assert lines[0].startswith(b"# config_hash=")
+    return hashlib.sha256(lines[1]).hexdigest()
+
+
+class TestReportPins:
+    """The bytes ``curves`` and ``eval`` write for the ``trained`` fixture are
+    pinned, so a change to how they are computed or written cannot move
+    one byte of them."""
+
+    CURVES_SHA = "84213bb96eb05e0d0ffb8c23a5db9fddebd2eb8d241d58d526f3bb71154a8e85"
+    LONG_CURVES_SHA = "e989c3187d9a2b79f879e516675ed078395247af1426a1404f3247e2d9899aa6"
+    EVAL_SHA = "6803af6c942967ac1addb614c56ac4a75507c259c25c2a0d8da29cac93cd854a"
+
+    def test_curves_csv_bytes(self, trained, tmp_path):
+        path = tmp_path / "curves.csv"
+        assert run(["curves", "--config", trained["ini"], "--checkpoint",
+                    trained["ckpt"], "--csv", str(path)]) == 0
+        assert body_sha(path) == self.CURVES_SHA
+
+    def test_curves_csv_bytes_over_several_chunks(self, trained, tmp_path):
+        data = tmp_path / "long"
+        assert run(["synth", "--out-dir", str(data), "--scenes", "1",
+                    "--agents", "4", "--frames", "80", "--event-frame", "3",
+                    "--deltas", "0,1", "--duration", "2", "--sigma", "0.02",
+                    "--seed", "11"]) == 0
+        scene = next((data / "scenes").glob("*.tsv"))
+        path = tmp_path / "curves.csv"
+        assert run(["curves", "--config", trained["ini"], "--checkpoint",
+                    trained["ckpt"], "--scene", str(scene),
+                    "--csv", str(path)]) == 0
+        agents = {line.split(",")[1] for line in path.read_text().splitlines()[2:]}
+        assert len(agents - {"mean", ""}) > 256
+        assert body_sha(path) == self.LONG_CURVES_SHA
+
+    def test_eval_json_bytes(self, trained, tmp_path):
+        path = tmp_path / "eval.json"
+        assert run(["eval", "--config", trained["ini"], "--checkpoint",
+                    trained["ckpt"], "--report", str(path)]) == 0
+        report = json.loads(path.read_text())
+        del report["checkpoint"], report["config_hash"]
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.EVAL_SHA
+
+
+@pytest.mark.parametrize("k", ["0", "3"])
+def test_curves_generation_out_of_range_is_usage_error(trained, tmp_path, capsys, k):
+    capsys.readouterr()
+    assert run(["curves", "--config", trained["ini"], "--checkpoint",
+                trained["ckpt"], "--generations", k,
+                "--csv", str(tmp_path / "c.csv")]) == 1
+    assert f"generation {k} outside 1..2" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_curves_agent_filter(trained, tmp_path):
