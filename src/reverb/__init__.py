@@ -7,7 +7,7 @@ steps.  See README.md for the full tour.
 """
 
 from .config import RunConfig, config_hash, load_config, model_hash
-from .curves import LatencyCurve, average_curves, mean_curves, write_curves_csv
+from .curves import average_curves, write_curves_csv
 from .data import (
     Sample,
     Scene,
@@ -51,7 +51,6 @@ __all__ = [
     "DomainError",
     "InsufficientDataError",
     "KINDS",
-    "LatencyCurve",
     "LinearFit",
     "ModelConfig",
     "NumericError",
@@ -77,7 +76,6 @@ __all__ = [
     "load_scene",
     "load_split_manifest",
     "make_windows",
-    "mean_curves",
     "min_ade_fde",
     "model_hash",
     "preprocess",

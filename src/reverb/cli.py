@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import curves as curves_mod
 from . import metrics
 from .config import (
     RunConfig,
@@ -26,6 +25,7 @@ from .config import (
     model_hash,
     resolve_output_dir,
 )
+from .curves import export_curves
 from .data import (
     SynthLatencySpec,
     inject_manual_neighbor,
@@ -221,7 +221,8 @@ def _evaluate(model: ReverbPredictor, samples, k: int, sample: bool, seed: int):
     row_pick = np.random.default_rng([seed, 131])
     per_scene = {}
     mins, stats, base = [], [], []
-    for pred, s in zip(model.predict(samples, rng=None), samples):
+    preds = (p for chunk in model.predict_chunks(samples) for p in chunk)
+    for pred, s in zip(preds, samples):
         rows = _select_rows(pred.values, k, sample, row_pick)
         gt = s.gt.values
         ade, fde = metrics.min_ade_fde(rows, gt)
@@ -305,22 +306,11 @@ def cmd_curves(args) -> int:
     if args.manual_neighbor:
         dx, dy, vx, vy = args.manual_neighbor
         samples = [inject_manual_neighbor(s, [dx, dy], [vx, vy]) for s in samples]
-    preds = model.predict(samples)
-    out = []
-    groups = []
-    for pred in preds:
-        pc = curves_mod.curves_for_prediction(pred, cfg.model.n_theta, generations)
-        for c in pc:
-            c.agent = f"{pred.scene_id}/{pred.agent_id}@{pred.start_frame:g}"
-        groups.append(pc)
-        out.extend(pc)
-    out.extend(curves_mod.mean_curves(groups))
-    out.append(curves_mod.baseline_curve(cfg.model.hist_rows, cfg.model.fut_rows))
     os.makedirs(out_dir, exist_ok=True)
     path = args.csv or os.path.join(out_dir, "curves.csv")
-    curves_mod.write_curves_csv(path, out, config_hash=config_hash(cfg),
-                                seed=cfg.seed)
-    print(f"wrote {path} ({len(out)} curves)")
+    n = export_curves(path, model, samples, generations,
+                      config_hash=config_hash(cfg), seed=cfg.seed)
+    print(f"wrote {path} ({n} curves)")
     return EXIT_OK
 
 

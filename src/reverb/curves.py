@@ -9,6 +9,14 @@ one, except where the whole column of squares is exactly zero; such
 steps fall back to the uniform value 1/T_h and carry a degenerate flag
 so exports stay plottable while the event remains visible.
 
+Curves are arrays, never objects.  :func:`branch_curves` normalizes a
+whole stack of one branch's kernels at once; a chunk of predictions
+becomes one (N, C, T_f) values array and one (N, C, T_f) degenerate
+array, whose C rows one label table of (kind, partition, generation,
+t_p) describes for every window (:func:`curve_labels`).  Exports
+predict ``PREDICT_CHUNK`` windows at a time and stream the CSV one
+window at a time; the dataset mean is a running sum over windows.
+
 Steps and partitions are reported 1-based; future steps are absolute
 (T_h+1 .. T_h+T_f), matching the row indices of the kernels, which for
 paired transform kinds count spectrum rows rather than raw frames.
@@ -16,203 +24,168 @@ paired transform kinds count spectrum rows rather than raw frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientDataError, ShapeError
 from .nn.checkpoint import atomic_write
 
-
-@dataclass
-class LatencyCurve:
-    """One conditioning key's strengths over the future steps."""
-
-    kind: str
-    t_p: int
-    values: np.ndarray
-    degenerate: np.ndarray
-    t_start: int
-    partition: int | None = None
-    generation: int | None = None
-    agent: str = ""
-
-    def steps(self) -> np.ndarray:
-        """Absolute future step index per value."""
-        return np.arange(self.t_start, self.t_start + len(self.values))
+BASELINE_LABELS = [("baseline", None, None, 0)]
 
 
 def _normalized_square_columns(weights: np.ndarray):
-    """Column-normalize ``weights**2``; exactly-zero columns go uniform."""
+    """Normalize ``weights**2`` over the keys axis of a (..., keys, T_f)
+    stack; exactly-zero columns go uniform.  Returns the values and the
+    (..., T_f) degenerate flags."""
     w = np.asarray(weights, dtype=np.float64) ** 2
-    denom = w.sum(axis=0)
+    denom = w.sum(axis=-2)
     degenerate = denom == 0.0
-    safe = np.where(degenerate, 1.0, denom)
-    values = w / safe[None, :]
-    values[:, degenerate] = 1.0 / w.shape[0]
+    values = w / np.where(degenerate, 1.0, denom)[..., None, :]
+    np.copyto(values, 1.0 / w.shape[-2], where=degenerate[..., None, :])
     return values, degenerate
 
 
-def _check_kernel(r: np.ndarray, what: str) -> np.ndarray:
+def _check_generations(generations, k_g: int) -> list:
+    for k in generations:
+        if not 1 <= k <= k_g:
+            raise ShapeError(f"generation {k} outside 1..{k_g}")
+    return list(generations)
+
+
+def _generations(generations, k_g: int) -> list:
+    """The 1-based generation ids to report (default all of 1..K_g)."""
+    return _check_generations(generations or range(1, k_g + 1), k_g)
+
+
+def branch_curves(r, g=None, generations=(), partitions: int = 1):
+    """Every curve of one branch's kernels, over a stack of windows.
+
+    ``r`` is (..., partitions*T_h, T_f) and ``g`` (..., partitions*T_h,
+    K_g), or None for the plain curves alone.  Returns values
+    (..., partitions, 1+G, T_h, T_f) and degenerate flags
+    (..., partitions, 1+G, T_f), G = len(generations): slot 0 holds the
+    plain curves, slot j the curves reweighted by the G column of
+    generation ``generations[j-1]`` (1-based).
+    """
     r = np.asarray(r, dtype=np.float64)
-    if r.ndim != 2:
-        raise ShapeError(f"{what} must be 2-d, got shape {r.shape}")
-    return r
+    g = np.zeros((*r.shape[:-1], 0)) if g is None else np.asarray(g, dtype=np.float64)
+    if r.ndim < 2 or g.ndim != r.ndim:
+        raise ShapeError(f"R and G must be (..., rows, cols) stacks, got "
+                         f"shapes {r.shape} and {g.shape}")
+    rows = r.shape[-2]
+    if g.shape[-2] != rows:
+        raise ShapeError(f"R rows {rows} != G rows {g.shape[-2]}")
+    if partitions < 1 or rows % partitions:
+        raise ShapeError(f"{rows} rows do not split into {partitions} partitions")
+    cols = [k - 1 for k in _check_generations(generations, g.shape[-1])]
+    t_h = rows // partitions
+    lead = g.shape[:-2]
+    picked = np.moveaxis(g[..., cols].reshape(*lead, partitions, t_h, len(cols)), -1, -2)
+    factor = np.concatenate([np.ones((*lead, partitions, 1, t_h)), picked], axis=-2)
+    r = r.reshape(*r.shape[:-2], partitions, 1, t_h, r.shape[-1])
+    return _normalized_square_columns(r * factor[..., None])
 
 
-def curve_non(r: np.ndarray, agent: str = "") -> list:
-    """Per-past-step curves of an (T_h, T_f) kernel."""
-    r = _check_kernel(r, "R")
-    values, degenerate = _normalized_square_columns(r)
-    t_start = r.shape[0] + 1
-    return [
-        LatencyCurve("non", t_p + 1, values[t_p], degenerate.copy(), t_start,
-                     agent=agent)
-        for t_p in range(r.shape[0])
-    ]
+def curve_labels(config, generations=None) -> list:
+    """(kind, partition, generation, t_p) of each curve row, in export
+    order: per branch and partition, the plain curves and then those of
+    each generation, each over t_p = 1..T_h."""
+    gens = _generations(generations, config.k_g)
+    labels = []
+    for name, parts in (("non", [None]), ("soc", range(1, config.n_theta + 1))):
+        if not getattr(config, f"use_{name}"):
+            continue
+        for n in parts:
+            for k in (None, *gens):
+                kind = name if k is None else f"{name}_altered"
+                labels.extend((kind, n, k, t_p) for t_p in range(1, config.hist_rows + 1))
+    return labels
 
 
-def curve_non_altered(r: np.ndarray, g: np.ndarray, k: int, agent: str = "") -> list:
-    """Curves reweighted by generation ``k`` (1-based) of the G kernel."""
-    r = _check_kernel(r, "R")
-    g = _check_kernel(g, "G")
-    if g.shape[0] != r.shape[0]:
-        raise ShapeError(f"R rows {r.shape[0]} != G rows {g.shape[0]}")
-    if not 1 <= k <= g.shape[1]:
-        raise ShapeError(f"generation {k} outside 1..{g.shape[1]}")
-    values, degenerate = _normalized_square_columns(r * g[:, k - 1][:, None])
-    t_start = r.shape[0] + 1
-    return [
-        LatencyCurve("non_altered", t_p + 1, values[t_p], degenerate.copy(),
-                     t_start, generation=k, agent=agent)
-        for t_p in range(r.shape[0])
-    ]
+def _chunk_curves(preds, config, generations: list):
+    """(N, C, T_f) values and degenerate flags of a chunk of predictions,
+    rows in :func:`curve_labels` order (C = 0 for a linear-only model)."""
+    values = [np.empty((len(preds), 0, config.fut_rows))]
+    flags = [np.empty((len(preds), 0, config.fut_rows), dtype=bool)]
+    for name, parts in (("non", 1), ("soc", config.n_theta)):
+        if not getattr(config, f"use_{name}"):
+            continue
+        pairs = [getattr(p, f"kernels_{name}") for p in preds]
+        v, d = branch_curves(np.stack([k.r for k in pairs]),
+                             np.stack([k.g for k in pairs]), generations, parts)
+        values.append(v.reshape(len(preds), -1, v.shape[-1]))
+        flags.append(np.broadcast_to(d[..., None, :], v.shape).reshape(len(preds), -1, v.shape[-1]))
+    return np.concatenate(values, axis=1), np.concatenate(flags, axis=1)
 
 
-def _partition_block(r_soc: np.ndarray, n: int, n_theta: int) -> np.ndarray:
-    r_soc = _check_kernel(r_soc, "R_soc")
-    if n_theta < 1 or r_soc.shape[0] % n_theta:
-        raise ShapeError(
-            f"{r_soc.shape[0]} rows do not split into {n_theta} partitions"
-        )
-    if not 1 <= n <= n_theta:
-        raise ShapeError(f"partition {n} outside 1..{n_theta}")
-    t_h = r_soc.shape[0] // n_theta
-    return r_soc[(n - 1) * t_h : n * t_h]
-
-
-def curve_soc(r_soc: np.ndarray, n: int, n_theta: int, agent: str = "") -> list:
-    """Curves of one angular partition of a (N_theta*T_h, T_f) kernel."""
-    block = _partition_block(r_soc, n, n_theta)
-    out = curve_non(block, agent=agent)
-    for c in out:
-        c.kind = "soc"
-        c.partition = n
-    return out
-
-
-def curve_soc_altered(r_soc: np.ndarray, g_soc: np.ndarray, n: int, k: int,
-                      n_theta: int, agent: str = "") -> list:
-    r_blk = _partition_block(r_soc, n, n_theta)
-    g_blk = _partition_block(g_soc, n, n_theta)
-    out = curve_non_altered(r_blk, g_blk, k, agent=agent)
-    for c in out:
-        c.kind = "soc_altered"
-        c.partition = n
-    return out
-
-
-def baseline_curve(t_h: int, t_f: int) -> LatencyCurve:
-    """The flat reference line: the average strength 1/T_h at every step."""
-    return LatencyCurve(
-        "baseline", 0, np.full(t_f, 1.0 / t_h), np.zeros(t_f, dtype=bool),
-        t_start=t_h + 1,
-    )
-
-
-def curves_for_prediction(pred, n_theta: int, generations=None) -> list:
-    """All available curve families for one agent's prediction.
-
-    ``generations`` limits the altered families (1-based ids; default
-    all columns of G).
-    """
-    out = []
-    agent = getattr(pred, "agent_id", "")
-    if pred.kernels_non is not None:
-        r, g = pred.kernels_non.r, pred.kernels_non.g
-        out.extend(curve_non(r, agent=agent))
-        for k in generations or range(1, g.shape[1] + 1):
-            out.extend(curve_non_altered(r, g, k, agent=agent))
-    if pred.kernels_soc is not None:
-        r, g = pred.kernels_soc.r, pred.kernels_soc.g
-        for n in range(1, n_theta + 1):
-            out.extend(curve_soc(r, n, n_theta, agent=agent))
-            for k in generations or range(1, g.shape[1] + 1):
-                out.extend(curve_soc_altered(r, g, n, k, n_theta, agent=agent))
-    return out
-
-
-def _curve_key(c: LatencyCurve) -> tuple:
-    return (c.kind, c.partition, c.generation, c.t_p)
-
-
-def mean_curves(groups: list) -> list:
-    """Arithmetic mean over agents, keyed by (kind, partition, gen, t_p).
-
-    Every group must supply the same keys.  A mean of normalized curves
-    stays normalized; a step is flagged degenerate if any contributor
-    flagged it.
-    """
-    if not groups:
-        raise InsufficientDataError("no curves to average")
-    keys = [_curve_key(c) for c in groups[0]]
-    acc = {k: [] for k in keys}
-    for curves in groups:
-        got = {_curve_key(c): c for c in curves}
-        if set(got) != set(acc):
-            raise ShapeError("curve sets disagree across agents")
-        for k, c in got.items():
-            acc[k].append(c)
-    out = []
-    for k in keys:
-        members = acc[k]
-        first = members[0]
-        out.append(
-            LatencyCurve(
-                kind=first.kind,
-                t_p=first.t_p,
-                values=np.mean([c.values for c in members], axis=0),
-                degenerate=np.any([c.degenerate for c in members], axis=0),
-                t_start=first.t_start,
-                partition=first.partition,
-                generation=first.generation,
-                agent="mean",
-            )
-        )
-    return out
-
-
-def average_curves(model, samples, generations=None, noise=None) -> list:
-    """Dataset-mean curves from a model's zero-noise predictions."""
+def _windows_then_mean(model, samples, generations: list, noise=None):
+    """Yields (prediction, values, degenerate) per window, predicted
+    ``PREDICT_CHUNK`` windows at a time, and last (None, mean values,
+    flags set by any window).  The mean is a running sum in window order
+    divided by the count: the bytes of ``np.mean`` over the stack, since
+    curve values are never -0.0 and ``0.0 + x`` is ``x``."""
     if len(samples) == 0:
         raise InsufficientDataError("cannot average curves over an empty split")
-    preds = model.predict(samples, noise=noise)
-    groups = [
-        curves_for_prediction(p, model.config.n_theta, generations=generations)
-        for p in preds
-    ]
-    return mean_curves(groups)
+    total, flags = 0.0, False
+    for preds in model.predict_chunks(samples, noise=noise):
+        values, degenerate = _chunk_curves(preds, model.config, generations)
+        for pred, v, d in zip(preds, values, degenerate):
+            total = total + v
+            flags = flags | d
+            yield pred, v, d
+    yield None, total / len(samples), flags
 
 
-def write_curves_csv(path, curves, config_hash: str = "", seed=None):
-    """One row per (curve, future step); empty cells for absent keys."""
-    lines = [f"# config_hash={config_hash} seed={'' if seed is None else seed}"]
-    lines.append("kind,agent,partition,generation,t_p,t,value,degenerate")
-    for c in curves:
-        part = "" if c.partition is None else str(c.partition)
-        gen = "" if c.generation is None else str(c.generation)
-        for t, v, dg in zip(c.steps(), c.values, c.degenerate):
-            lines.append(
-                f"{c.kind},{c.agent},{part},{gen},{c.t_p},{t},{v:.17g},{int(dg)}"
-            )
-    atomic_write(path, "\n".join(lines) + "\n")
+def average_curves(model, samples, generations=None, noise=None):
+    """Dataset-mean curves from a model's zero-noise predictions.
+
+    Returns (labels, values, degenerate): the :func:`curve_labels` table
+    and the (C, T_f) mean values and any-window degenerate flags.
+    """
+    gens = _generations(generations, model.config.k_g)
+    for _, values, degenerate in _windows_then_mean(model, samples, gens, noise):
+        pass  # the last item is the mean
+    return curve_labels(model.config, gens), values, degenerate
+
+
+def export_curves(path, model, samples, generations=None, config_hash: str = "",
+                  seed=None) -> int:
+    """Write every window's curves, then their mean and the flat baseline
+    (1/T_h at every step), to a CSV; returns the number of curves."""
+    c = model.config
+    gens = _generations(generations, c.k_g)
+    labels = curve_labels(c, gens)
+
+    def blocks():
+        for pred, values, degenerate in _windows_then_mean(model, samples, gens):
+            agent = "mean" if pred is None else (
+                f"{pred.scene_id}/{pred.agent_id}@{pred.start_frame:g}")
+            yield agent, labels, values, degenerate
+        yield ("", BASELINE_LABELS, np.full((1, c.fut_rows), 1.0 / c.hist_rows),
+               np.zeros((1, c.fut_rows), dtype=bool))
+
+    write_curves_csv(path, blocks(), c.hist_rows + 1, config_hash, seed)
+    return (len(samples) + 1) * len(labels) + 1
+
+
+def write_curves_csv(path, blocks, t_start: int, config_hash: str = "", seed=None):
+    """Stream ``blocks`` to ``path``, one row per (curve, future step).
+
+    Each block is (agent, labels, values, degenerate): one (kind,
+    partition, generation, t_p) label per row of the (C, T_f) arrays;
+    future steps count from ``t_start``.  Absent keys are empty cells.
+    """
+
+    def pieces():
+        yield f"# config_hash={config_hash} seed={'' if seed is None else seed}\n"
+        yield "kind,agent,partition,generation,t_p,t,value,degenerate\n"
+        shown = rows = None
+        for agent, labels, values, degenerate in blocks:
+            if labels is not shown:
+                shown, steps = labels, range(t_start, t_start + values.shape[-1])
+                rows = [f"{kind},%s,{'' if n is None else n},{'' if k is None else k},"
+                        f"{t_p},{t},%.17g,%d\n"
+                        for kind, n, k, t_p in labels for t in steps]
+            yield "".join([row % (agent, v, d) for row, v, d in
+                           zip(rows, values.ravel().tolist(), degenerate.ravel().tolist())])
+
+    atomic_write(path, pieces())

@@ -59,6 +59,8 @@ from .nn.transformer import EncoderDecoder
 from .social import SocialEncoder
 
 _SQRT_EPS = 1e-12
+# Windows per ``predict`` call when a report runs over a whole split.
+PREDICT_CHUNK = 256
 
 
 @dataclass
@@ -474,6 +476,13 @@ class ReverbPredictor:
             )
             for b, s in enumerate(samples)
         ]
+
+    def predict_chunks(self, samples, noise: dict | None = None):
+        """``predict`` over consecutive ``PREDICT_CHUNK``-window slices of
+        ``samples``, yielding one slice's predictions at a time, so a
+        report over a split holds one chunk's arrays, not the split's."""
+        for start in range(0, len(samples), PREDICT_CHUNK):
+            yield self.predict(samples[start:start + PREDICT_CHUNK], noise=noise)
 
     def _pair(self, info: dict, branch: str, b: int):
         r, g = info[f"r_{branch}"], info[f"g_{branch}"]

@@ -31,15 +31,19 @@ DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 
 def atomic_write(path, data):
-    """Write ``data`` (str as UTF-8, or bytes) via ``<path>.tmp.<pid>`` and
-    a rename, so ``path`` is old or new, never partial.  On failure the
-    temporary file is removed and ``path`` is left as it was."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    """Write ``data`` via ``<path>.tmp.<pid>`` and a rename, so ``path`` is
+    old or new, never partial.  ``data`` is str (written as UTF-8), bytes,
+    or an iterable of str/bytes pieces streamed into the temporary file.
+    The file is fsynced before the rename and its directory after it.  On
+    failure, also one raised while the pieces are produced, the temporary
+    file is removed and ``path`` is left as it was."""
+    if isinstance(data, (str, bytes)):
+        data = [data]
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for piece in data:
+                f.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -47,6 +51,11 @@ def atomic_write(path, data):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def save(path, arrays: dict, meta: dict | None = None):

@@ -181,30 +181,27 @@ def test_criterion_05_curve_oracle():
         n = int(rng.integers(1, n_theta + 1))
         block = slice((n - 1) * t_h, n * t_h)
 
+        non, non_deg = curves.branch_curves(r, g, [k])
+        soc, soc_deg = curves.branch_curves(r_soc, g_soc, [k], n_theta)
         cases = [
-            (curves.curve_non(r), brute_normalized(r)),
-            (curves.curve_non_altered(r, g, k),
-             brute_normalized(r * g[:, [k - 1]])),
-            (curves.curve_soc(r_soc, n, n_theta),
-             brute_normalized(r_soc[block])),
-            (curves.curve_soc_altered(r_soc, g_soc, n, k, n_theta),
+            (non[0, 0], non_deg[0, 0], brute_normalized(r)),
+            (non[0, 1], non_deg[0, 1], brute_normalized(r * g[:, [k - 1]])),
+            (soc[n - 1, 0], soc_deg[n - 1, 0], brute_normalized(r_soc[block])),
+            (soc[n - 1, 1], soc_deg[n - 1, 1],
              brute_normalized((r_soc * g_soc[:, [k - 1]])[block])),
         ]
-        for got, want in cases:
-            stack = np.stack([c.values for c in got])
+        for stack, degenerate, want in cases:
             worst = max(worst, np.abs(stack - want).max())
             keys_sum = stack.sum(axis=0)
-            degenerate = np.stack([c.degenerate for c in got]).any(axis=0)
             if not degenerate.any():
                 norm_worst = max(norm_worst, np.abs(keys_sum - 1.0).max())
 
         # A constant G column must cancel in the normalization exactly.
         g_const = g.copy()
         g_const[:, k - 1] = 1.0
-        plain = curves.curve_non(r)
-        altered = curves.curve_non_altered(r, g_const, k)
-        for p, a in zip(plain, altered):
-            assert np.array_equal(p.values, a.values)
+        plain = curves.branch_curves(r)[0][0, 0]
+        altered = curves.branch_curves(r, g_const, [k])[0][0, 1]
+        assert np.array_equal(plain, altered)
 
     assert worst <= 1e-12, worst
     assert norm_worst <= 1e-9, norm_worst
@@ -334,9 +331,8 @@ def test_criterion_08_latency_recovery(tmp_path_factory):
         key = cfg.model.hist_rows  # 1-based key of the step holding t_e
         groups = {1: [], 2: [], 3: []}
         for pred, s in zip(out["model"].predict(samples), samples):
-            curve = curves.curve_non(pred.kernels_non.r)[key - 1]
-            groups[delta_of[(s.scene_id, s.agent_id)]].append(
-                int(np.argmax(curve.values)))
+            curve = curves.branch_curves(pred.kernels_non.r)[0][0, 0, key - 1]
+            groups[delta_of[(s.scene_id, s.agent_id)]].append(int(np.argmax(curve)))
         per_seed.append([float(np.mean(groups[d])) for d in (1, 2, 3)])
     group_means = np.mean(per_seed, axis=0)
     rho = _spearman([1, 2, 3], group_means)

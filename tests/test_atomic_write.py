@@ -1,6 +1,7 @@
 """Every artifact writer goes through one temp-file-and-rename helper."""
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ WRITERS = {
     "atomic_write": lambda path: atomic_write(path, "new text\n"),
     "checkpoint": lambda path: save(path, {"x": np.ones(2)}, meta={"epoch": 1}),
     "loss_log": lambda path: write_loss_log(path, [EpochStats(1, 0.5)], RunConfig()),
-    "curves_csv": lambda path: write_curves_csv(path, [], config_hash="abc", seed=1),
+    "curves_csv": lambda path: write_curves_csv(path, [], 5, config_hash="abc", seed=1),
     "scene": lambda path: write_scene(
         path, Scene("s", 0.4, [Tracklet("a", np.array([1.0, 2.0]), np.zeros((2, 2)))])
     ),
@@ -51,3 +52,41 @@ def test_text_is_written_as_utf8(tmp_path):
     path = tmp_path / "t.txt"
     atomic_write(str(path), "bearing θ\n")
     assert path.read_bytes() == "bearing θ\n".encode("utf-8")
+
+
+def test_streamed_pieces_are_joined(tmp_path):
+    path = tmp_path / "t.txt"
+    atomic_write(str(path), (piece for piece in ["a,", b"b\n", "θ\n"]))
+    assert path.read_bytes() == "a,b\nθ\n".encode("utf-8")
+
+
+def test_failing_stream_keeps_target_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old")
+
+    def pieces():
+        yield "first row\n"
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        atomic_write(str(path), pieces())
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_directory_is_fsynced_after_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("rename")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    atomic_write(str(tmp_path / "artifact"), "new\n")
+    assert events == ["fsync file", "rename", "fsync dir"]
