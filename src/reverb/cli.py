@@ -2,8 +2,10 @@
 
 Subcommands: train, eval, curves, ablate, synth, gradcheck.  Exit
 codes: 0 success, 1 configuration or usage problem, 2 data problem,
-3 numeric failure.  Every emitted file carries the config hash and the
-seed; files are written to a temp name and atomically renamed.
+3 numeric failure, 4 out of memory or internal error.  Each failure
+prints one line to stderr, never a traceback.  Every emitted file
+carries the config hash and the seed; files are written to a temp name
+and atomically renamed.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 ABLATION_VARIANTS = {
     "full": {},
@@ -89,9 +92,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--resume", help="continue from a checkpoint")
     p.add_argument("--window-stride", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true",
-                   help="force the single-threaded reference path "
-                        "(the only path implemented; accepted for stability)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -465,6 +465,12 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeError, SequenceLengthError, DomainError) as e:
         print(f"reverb: config error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as e:
+        print(f"reverb: out of memory: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as e:  # a bug: one line, not a traceback
+        print(f"reverb: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and usage problems
-exit 1, data problems exit 2, numeric failures exit 3.
+exit 1, data problems exit 2, numeric failures exit 3.  Any other
+exception, ``MemoryError`` included, exits 4 as an out-of-memory or
+internal error.
 """
 
 

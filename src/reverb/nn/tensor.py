@@ -1,40 +1,40 @@
 """Tape-based reverse-mode automatic differentiation on numpy arrays.
 
-Every op records its parents and a vector-Jacobian closure; ``backward``
-runs one reverse topological sweep, adding into each leaf's ``grad`` in place.
-The sweep consumes the graph: a node drops its parents and closure as it
-is passed, so a training step holds one tape at most, and a second
-backward through the same nodes raises ``RuntimeError``.
-All data is float64.  Gradient accumulation order is fixed by graph
-construction order, so repeated runs are bit-identical.
+The tape is a graph of data-free nodes.  An op whose operands need a
+gradient gives its output ``Tensor`` one ``_Node``: the op's
+vector-Jacobian closure and its parents, each the operand's node, the
+operand itself for a leaf that requires grad, or ``None`` for a
+constant.  A node holds no array.  Each vjp closes over the arrays it
+reads and never over a ``Tensor``, so an intermediate array is freed in
+the forward as soon as the model code drops it and no vjp reads it.
+``backward`` runs one reverse topological sweep, adding into each
+leaf's ``grad`` in place.  The sweep consumes the graph: a node drops its
+parents and closure as it is passed, so a training step holds one tape
+at most, and a second backward through the same nodes raises
+``RuntimeError``.  All data is float64.  Gradient accumulation order is
+fixed by graph construction order, so repeated runs are bit-identical.
 
-The vjps do only the gradient work ``backward`` keeps: an operand with
-``requires_grad=False`` (a constant such as a scale factor, a lookup
-table or input data) gets ``None`` from ``add``/``sub``/``mul``/``div``/
-``matmul``, so its gradient is never computed.  A shared 2-d weight
-``b`` in ``a @ b`` gets its gradient from one flat GEMM over every
-leading axis of ``a``, ``a.reshape(-1, k).T @ g.reshape(-1, n)``, never
-from a stack of per-slice products summed away afterwards.
+An operand with ``requires_grad=False`` (a constant such as a scale
+factor, a lookup table or input data) gets ``None`` from the vjps, so
+its gradient is never computed.  What each vjp keeps:
 
-Three fused ops each record one node with a closed-form vjp, in place of
-the chain of elementary nodes (and their saved intermediates) they
-replace:
+- shapes and indices only: ``add``, ``sub``, ``neg``, ``reshape``,
+  ``transpose``, ``sum_``, ``mean_``, ``concat``, ``getitem``,
+  ``index_select``, ``take_per_row``; ``segment_mean`` also its counts;
+- ``mul``, ``matmul``: ``b`` when ``a`` needs a gradient, ``a`` when
+  ``b`` does; ``div``: ``b`` and the output;
+- the output: ``tanh``, ``exp``, ``sqrt``, ``softmax``; ``relu``: its mask;
+- ``layer_norm(x, gamma, beta, eps)``, one node for the normalisation
+  of the last axis: x̂, σ = sqrt(var + eps) and γ;
+- ``affine(x, w, b, activation)``, one node and one flat 2-d GEMM for
+  ``act(x @ w + b)``: ``x`` for the weight gradient, ``w`` for the
+  input gradient, and the output only for ``tanh``/``relu``;
+- ``attention(q, k, v, heads, scale)``, one node for multi-head scaled
+  dot-product attention: the probabilities and the q/k/v head views.
 
-``layer_norm(x, gamma, beta, eps)``
-    normalises the last axis; keeps only x̂ and σ = sqrt(var + eps).
-``affine(x, w, b, activation)``
-    ``act(x @ w + b)`` for ``none``/``tanh``/``relu``, as one flat 2-d
-    GEMM over every leading axis of ``x``; keeps only its output, from
-    which the vjp reads the activation's derivative.
-``attention(q, k, v, heads, scale)``
-    multi-head scaled dot-product attention: head split, scores,
-    softmax, context and head merge; keeps only the probabilities.
-
-``segment_mean`` and the vjp of ``index_select`` add rows by id through
-one ``np.bincount`` over flattened ``(id, column)`` keys
-(``_scatter_add_rows``).  It adds in row order starting from +0.0, as
-``np.add.at`` does, so the bytes are the same, at about a quarter of the
-time.
+``segment_mean`` and the vjp of ``index_select`` add rows by id with one
+``np.bincount`` (``_scatter_add_rows``), in row order from +0.0 as
+``np.add.at`` does.
 """
 
 from __future__ import annotations
@@ -61,14 +61,17 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    """A float64 array, its ``grad``, and the ``_node`` of the op that made
+    it (``None`` for a leaf or a constant).  Only a leaf that requires
+    grad keeps a gradient; ``backward`` adds into its ``grad`` in place."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._vjp = None
+        self._node = None
 
     @property
     def shape(self):
@@ -130,7 +133,16 @@ class Tensor:
         return mean_(self, axis, keepdims)
 
 
-_CONSUMED = object()  # the ``_vjp`` of a node that a backward has swept
+class _Node:
+    """One op on the tape; ``grad`` is its output's gradient during a sweep."""
+
+    __slots__ = ("vjp", "parents", "grad")
+
+    def __init__(self, vjp, parents):
+        self.vjp, self.parents, self.grad = vjp, parents, None
+
+
+_CONSUMED = object()  # the ``vjp`` of a node that a backward has swept
 
 
 def _as_tensor(x) -> Tensor:
@@ -141,8 +153,8 @@ def _make(data, parents, vjp) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._node = _Node(vjp, tuple(p._node or (p if p.requires_grad else None)
+                                     for p in parents))
     return out
 
 
@@ -162,12 +174,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def backward(t: Tensor, seed=None):
     """Reverse sweep from ``t``; leaf ``grad`` arrays accumulate in place.
 
-    The sweep consumes the graph: each non-leaf node drops its parents
-    and its vjp before that vjp runs, so the saved arrays are freed as
-    the sweep passes them, even while the caller still holds ``t`` or
-    other outputs.  Leaves keep nothing and live on.  A later backward
-    that reaches a consumed node, through the same root or a new graph
-    built on it, raises ``RuntimeError`` before touching any gradient.
+    The sweep consumes the graph: each node drops its parents and its vjp
+    before that vjp runs, so the saved arrays are freed as the sweep
+    passes them, even while the caller still holds ``t`` or other
+    outputs.  Leaves keep nothing and live on; ``t.grad`` is the seed.
+    A later backward that reaches a consumed node, through the same root
+    or a new graph built on it, raises ``RuntimeError`` before touching
+    any gradient.
     """
     if seed is None:
         if t.data.size != 1:
@@ -175,7 +188,7 @@ def backward(t: Tensor, seed=None):
         seed = np.ones_like(t.data)
     topo = []
     seen = set()
-    stack = [(t, False)]
+    stack = [] if t._node is None else [(t._node, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -183,82 +196,68 @@ def backward(t: Tensor, seed=None):
             continue
         if id(node) in seen:
             continue
-        if node._vjp is _CONSUMED:
+        if node.vjp is _CONSUMED:
             raise RuntimeError(
-                f"backward reached a {node!r} whose graph an earlier backward "
+                f"backward from {t!r} reached a node that an earlier backward "
                 "consumed; build the graph again to take another gradient")
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if type(p) is _Node and id(p) not in seen:
                 stack.append((p, False))
     t.grad = np.asarray(seed, dtype=np.float64)
+    if t._node is not None:
+        t._node.grad = t.grad
     while topo:
         node = topo.pop()
-        vjp, parents = node._vjp, node._parents
-        if vjp is None:
-            continue  # a leaf
-        node._vjp, node._parents = _CONSUMED, ()
-        g = node.grad
+        vjp, parents = node.vjp, node.parents
+        node.vjp, node.parents = _CONSUMED, ()
+        g, node.grad = node.grad, None  # intermediate grads are not kept
         if g is None:
             continue
-        if node is not t:
-            node.grad = None  # intermediate grads are not kept
         for p, pg in zip(parents, vjp(g)):
-            if pg is None or not p.requires_grad:
+            if p is None or pg is None:
                 continue
-            if p._vjp is None:  # a leaf adds into its own buffer, never into ``pg``
+            if type(p) is _Node:
+                p.grad = pg if p.grad is None else p.grad + pg
+            else:  # a leaf adds into its own buffer, never into ``pg``
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
                 p.grad += pg
-            else:
-                p.grad = pg if p.grad is None else p.grad + pg
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(
-        a.data + b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        ),
-    )
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
+    return _make(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, sa) if ra else None, _unbroadcast(g, sb) if rb else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(
-        a.data - b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        ),
-    )
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
+    return _make(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, sa) if ra else None, _unbroadcast(-g, sb) if rb else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(
-        a.data * b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        ),
-    )
+    sa, sb = a.shape, b.shape
+    ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
+    return _make(a.data * b.data, (a, b), lambda g: (
+        None if bd is None else _unbroadcast(g * bd, sa),
+        None if ad is None else _unbroadcast(g * ad, sb)))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data / b.data
+    sa, sb, ra, rb, bd = a.shape, b.shape, a.requires_grad, b.requires_grad, b.data
+    out_data = a.data / bd
 
     def vjp(g):
         return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * out_data / b.data, b.shape) if b.requires_grad else None,
+            _unbroadcast(g / bd, sa) if ra else None,
+            _unbroadcast(-g * out_data / bd, sb) if rb else None,
         )
 
     return _make(out_data, (a, b), vjp)
@@ -273,16 +272,18 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-d")
+    sa, sb = a.shape, b.shape
+    ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
 
     def vjp(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad and b.ndim == 2:
+        if bd is not None:
+            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa)
+        if ad is not None and len(sb) == 2:
             # a shared weight: one GEMM over every leading axis of ``a``
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        elif b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            gb = ad.reshape(-1, sa[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif ad is not None:
+            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)
         return ga, gb
 
     return _make(a.data @ b.data, (a, b), vjp)
@@ -322,27 +323,27 @@ def _norm_axes(axis, ndim):
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
+    shape, axes = a.shape, _norm_axes(axis, a.ndim)
 
     def vjp(g):
         if not keepdims:
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), vjp)
 
 
 def mean_(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
+    shape, axes = a.shape, _norm_axes(axis, a.ndim)
+    count = int(np.prod([shape[ax] for ax in axes])) if axes else 1
 
     def vjp(g):
         if not keepdims:
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
+        return (np.broadcast_to(g / count, shape).copy(),)
 
     return _make(a.data.mean(axis=axes, keepdims=keepdims), (a,), vjp)
 
@@ -362,7 +363,8 @@ def softmax(a, axis=-1) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    old = a.shape
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -373,14 +375,12 @@ def transpose(a, axes) -> Tensor:
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def vjp(g):
         moved = np.moveaxis(g, axis, 0)
         return tuple(
-            np.moveaxis(moved[offsets[i] : offsets[i + 1]], 0, axis)
-            for i in range(len(tensors))
+            np.moveaxis(moved[lo:hi], 0, axis) for lo, hi in zip(offsets[:-1], offsets[1:])
         )
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
@@ -389,9 +389,10 @@ def concat(tensors, axis=0) -> Tensor:
 def getitem(a, idx) -> Tensor:
     """Basic (slice/int/None) indexing; use index_select for array indices."""
     a = _as_tensor(a)
+    shape = a.shape
 
     def vjp(g):
-        z = np.zeros(a.shape)
+        z = np.zeros(shape)
         z[idx] += g
         return (z,)
 
@@ -404,26 +405,27 @@ ACTIVATIONS = ("none", "tanh", "relu")
 def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    rx, rg, rb, gd = x.requires_grad, gamma.requires_grad, beta.requires_grad, gamma.data
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     sigma = np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
     xhat /= sigma
-    out = xhat * gamma.data
+    out = xhat * gd
     out += beta.data
 
     def vjp(g):
         dim = xhat.shape[-1]
         flat = g.reshape(-1, dim)
         gx = None
-        if x.requires_grad:
-            gh = g * gamma.data
+        if rx:
+            gh = g * gd
             gx = gh - gh.mean(axis=-1, keepdims=True)
             gh *= xhat
             gx -= xhat * gh.mean(axis=-1, keepdims=True)
             gx /= sigma
         return (
             gx,
-            (flat * xhat.reshape(-1, dim)).sum(axis=0) if gamma.requires_grad else None,
-            flat.sum(axis=0) if beta.requires_grad else None,
+            (flat * xhat.reshape(-1, dim)).sum(axis=0) if rg else None,
+            flat.sum(axis=0) if rb else None,
         )
 
     return _make(out, (x, gamma, beta), vjp)
@@ -437,26 +439,29 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"affine: cannot map {x.shape} through a {w.shape} weight")
     k, n = w.shape
+    shape, rb = x.shape, b.requires_grad
+    xd, wd = (x.data if w.requires_grad else None), (w.data if x.requires_grad else None)
     flat_out = x.data.reshape(-1, k) @ w.data
     flat_out += b.data
     if activation == "tanh":
         np.tanh(flat_out, out=flat_out)
     elif activation == "relu":
         np.maximum(flat_out, 0.0, out=flat_out)
+    saved = None if activation == "none" else flat_out
 
     def vjp(g):
         g = g.reshape(-1, n)
         if activation == "tanh":
-            g = g * (1.0 - flat_out * flat_out)
+            g = g * (1.0 - saved * saved)
         elif activation == "relu":
-            g = g * (flat_out > 0)
+            g = g * (saved > 0)
         return (
-            (g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-            x.data.reshape(-1, k).T @ g if w.requires_grad else None,
-            g.sum(axis=0) if b.requires_grad else None,
+            (g @ wd.T).reshape(shape) if wd is not None else None,
+            xd.reshape(-1, k).T @ g if xd is not None else None,
+            g.sum(axis=0) if rb else None,
         )
 
-    return _make(flat_out.reshape(x.shape[:-1] + (n,)), (x, w, b), vjp)
+    return _make(flat_out.reshape(shape[:-1] + (n,)), (x, w, b), vjp)
 
 
 def attention(q, k, v, heads: int, scale: float) -> Tensor:
@@ -468,6 +473,7 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
         raise ShapeError(f"attention: queries {q.shape}, keys {k.shape}, values {v.shape}")
     bsz, lq, dim = q.shape
     lk = k.shape[1]
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
     if dim % heads:
         raise ShapeError(f"attention: dim {dim} not divisible by {heads} heads")
 
@@ -486,14 +492,14 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
 
     def vjp(g):
         gh = split(g, lq)
-        gv = merge(p.transpose(0, 1, 3, 2) @ gh, lk) if v.requires_grad else None
+        gv = merge(p.transpose(0, 1, 3, 2) @ gh, lk) if rv else None
         gs = gh @ vh.transpose(0, 1, 3, 2)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
         return (
-            merge(gs @ kh, lq) if q.requires_grad else None,
-            merge(gs.transpose(0, 1, 3, 2) @ qh, lk) if k.requires_grad else None,
+            merge(gs @ kh, lq) if rq else None,
+            merge(gs.transpose(0, 1, 3, 2) @ qh, lk) if rk else None,
             gv,
         )
 
@@ -515,10 +521,11 @@ def index_select(a, idx, axis=0) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     expanded = (slice(None),) * axis + (idx,)
+    length = a.shape[axis]
 
     def vjp(g):
-        rows = idx % max(a.shape[axis], 1)  # negative ids from the end, as the gather read them
-        z = _scatter_add_rows(np.moveaxis(g, axis, 0), rows, a.shape[axis])
+        rows = idx % max(length, 1)  # negative ids from the end, as the gather read them
+        z = _scatter_add_rows(np.moveaxis(g, axis, 0), rows, length)
         return (np.moveaxis(z, 0, axis),)
 
     return _make(a.data[expanded], (a,), vjp)
@@ -530,10 +537,10 @@ def take_per_row(a, idx) -> Tensor:
     if a.ndim != 2:
         raise ShapeError("take_per_row expects a 2-d tensor")
     idx = np.asarray(idx, dtype=np.intp)
-    rows = np.arange(a.shape[0])
+    shape, rows = a.shape, np.arange(a.shape[0])
 
     def vjp(g):
-        z = np.zeros(a.shape)
+        z = np.zeros(shape)
         np.add.at(z, (rows, idx), g)
         return (z,)
 

@@ -368,8 +368,8 @@ def test_criterion_10_deterministic_cli_runs(tmp_path, monkeypatch):
     outputs = {}
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert cli.main(["train", "--config", str(ini), "--deterministic",
-                         "--quiet", "--out-dir", str(out)]) == 0
+        assert cli.main(["train", "--config", str(ini), "--quiet",
+                         "--out-dir", str(out)]) == 0
         monkeypatch.chdir(out)
         assert cli.main(["eval", "--config", str(ini), "--checkpoint",
                          os.path.join("checkpoints", "final.bin"),

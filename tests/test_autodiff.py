@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 
 import oracles
 from reverb.errors import ShapeError
+from reverb.model import ReverbPredictor
 from reverb.nn import tensor as T
 from reverb.nn.gradcheck import grad_check
 from reverb.nn.layers import Dense, ParameterStore
+from test_model import make_sample, toy_config
 
 
 def leaf(rng, shape, scale=1.0):
@@ -219,7 +221,7 @@ class TestGraphMechanics:
         x = T.Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
             y = x * 2.0
-        assert not y.requires_grad and y._vjp is None
+        assert not y.requires_grad and y._node is None
 
     def test_constants_do_not_require_grad(self):
         y = T.Tensor(np.ones(3)) * 2.0
@@ -233,12 +235,34 @@ class TestGraphMechanics:
         operands[1 - const_slot].requires_grad = True
         const, var = operands[const_slot], operands[1 - const_slot]
         out = op(*operands)
-        slots = out._vjp(np.ones(out.shape))
+        slots = out._node.vjp(np.ones(out.shape))
         assert slots[const_slot] is None
         assert slots[1 - const_slot].shape == var.shape
         T.backward(T.sum_(out))
         assert const.grad is None
         assert var.grad is not None
+
+    def test_no_vjp_closes_over_a_tensor(self):
+        model = ReverbPredictor(toy_config(), seed=36)
+        batch = model.encode([make_sample(seed=52, n_neighbors=2)])
+        loss, _, _ = model.loss(batch, model.zero_noise())
+        seen, stack, cells = set(), [loss._node], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(p for p in node.parents if isinstance(p, T._Node))
+            fns = [node.vjp]  # and the helpers a vjp calls, such as attention's split
+            while fns:
+                for cell in fns.pop().__closure__ or ():
+                    value = cell.cell_contents
+                    items = value if isinstance(value, (list, tuple)) else (value,)
+                    assert not any(isinstance(v, T.Tensor) for v in items), value
+                    if callable(value) and hasattr(value, "__closure__"):
+                        fns.append(value)
+                    cells += 1
+        assert len(seen) > 50 and cells > len(seen)
 
     def test_intermediate_grads_are_dropped(self):
         x = T.Tensor(np.ones(3), requires_grad=True)

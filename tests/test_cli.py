@@ -228,6 +228,19 @@ def test_non_integer_list_flag_is_usage_error(tmp_path, capsys, argv):
     assert f"{argv[-2]}: {argv[-1].split(',')[1]!r} is not an integer" in err
 
 
+@pytest.mark.parametrize("error,line", [
+    (MemoryError("cannot allocate 8 GiB"), "reverb: out of memory: cannot allocate 8 GiB"),
+    (RuntimeError("tape walk broke"), "reverb: internal error: RuntimeError: tape walk broke"),
+])
+def test_unmapped_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatch, error, line):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_synth", failing)
+    assert run(["synth", "--out-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_synth_layout(corpus):
     data = corpus["data"]
     manifest = (data / "manifest.txt").read_text().splitlines()
@@ -260,8 +273,8 @@ def test_train_deterministic_repeats_bytes(corpus, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     for out in (a, b):
-        code = run(["train", "--config", corpus["ini"], "--deterministic",
-                    "--quiet", "--out-dir", str(out)])
+        code = run(["train", "--config", corpus["ini"], "--quiet",
+                    "--out-dir", str(out)])
         assert code == 0
     read = lambda d: (d / "checkpoints" / "final.bin").read_bytes()
     assert read(a) == read(b)

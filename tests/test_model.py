@@ -15,6 +15,7 @@ from reverb.linear import linear_fit
 from reverb.metrics import min_ade_fde
 from reverb.model import EncodedBatch, ModelConfig, ReverbPredictor
 from reverb.nn import tensor as T
+from reverb.nn.transformer import DecoderLayer, EncoderLayer, FeedForward, MultiHeadAttention
 from reverb.transforms import TimeSeq
 
 
@@ -323,20 +324,68 @@ class TestLossGraph:
         model = ReverbPredictor(toy_config(), seed=36)
         batch = model.encode([make_sample(seed=52, n_neighbors=2)])
         loss, pred, info = model.loss(batch, model.zero_noise())
-        nodes, stack = {}, [loss]
+        nodes, stack = {}, [loss._node]
         while stack:
             node = stack.pop()
             if id(node) not in nodes:
                 nodes[id(node)] = node
-                stack.extend(node._parents)
+                stack.extend(p for p in node.parents if isinstance(p, T._Node))
         pred_bytes = pred.data.tobytes()
         assert saved and all(ref() is not None for ref in saved)
         T.backward(loss)
-        assert all(node._parents == () for node in nodes.values())
-        assert all(p._vjp is None for _, p in model.store.items())
+        assert all(node.parents == () for node in nodes.values())
+        assert all(p._node is None for _, p in model.store.items())
         del nodes, node
         assert all(ref() is None for ref in saved)
         assert pred.data.tobytes() == pred_bytes
+
+    def test_arrays_no_vjp_reads_are_freed_before_backward(self, monkeypatch):
+        """Residual sums and the outputs of ``none``-activation projections
+        die in the forward, while ``loss``, ``pred`` and ``info`` are held;
+        the relu outputs, which two vjps read, stay alive."""
+        residual, projected, relu, depth = [], [], [], [0]
+        add, affine = T.add, T.affine
+
+        def recording_add(a, b):
+            out = add(a, b)
+            if depth[0]:  # inside a transformer layer every add is a residual
+                residual.append(weakref.ref(out.data))
+            return out
+
+        def recording_affine(x, w, b, activation="none"):
+            out = affine(x, w, b, activation)
+            if activation == "relu":
+                relu.append(weakref.ref(out.data.base))
+            return out
+
+        def layer(call):
+            def wrapped(self, *args):
+                depth[0] += 1
+                try:
+                    return call(self, *args)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        def projection(call):  # attention ``out`` and feed-forward ``down``
+            def wrapped(self, *args):
+                out = call(self, *args)
+                projected.append(weakref.ref(out.data.base))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(T, "add", recording_add)
+        monkeypatch.setattr(T, "affine", recording_affine)
+        for cls, wrap in ((EncoderLayer, layer), (DecoderLayer, layer),
+                          (MultiHeadAttention, projection), (FeedForward, projection)):
+            monkeypatch.setattr(cls, "__call__", wrap(cls.__call__))
+        model = ReverbPredictor(toy_config(), seed=37)
+        batch = model.encode([make_sample(seed=53, n_neighbors=2)])
+        loss, pred, info = model.loss(batch, model.zero_noise())  # held, no backward yet
+        assert residual and projected and relu
+        assert all(ref() is None for ref in residual)
+        assert all(ref() is None for ref in projected)
+        assert all(ref() is not None for ref in relu)
 
     def test_alpha_beta_train_through_social_branch_alone(self):
         model = ReverbPredictor(toy_config(use_non=False), seed=34)
