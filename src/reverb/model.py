@@ -272,6 +272,8 @@ class ReverbPredictor:
         """
         c = self.config
         samples = list(samples)
+        if not samples:
+            raise ShapeError("encode: no samples")
         for b, s in enumerate(samples):
             if s.ego.values.shape != (c.t_h, c.m):
                 raise ShapeError(
@@ -346,6 +348,9 @@ class ReverbPredictor:
         Each similarity channel is rank 1, ``F_d = f_d f_d^T``, so
         ``G^T F_d R = (G^T f_d)(f_d^T R)``: two matmuls and a broadcast
         product give the (B, K_g, T_f, d) field without building F.
+        The tape does not keep the field: the product's two factors are
+        kept anyway, and ``decode``'s weight gradient rebuilds the field
+        from them in backward (``nn/tensor.py``, selective recomputation).
         """
         c = self.config
         bsz, _, d = f.data.shape
@@ -454,11 +459,14 @@ class ReverbPredictor:
         """World-frame hypotheses per sample; zero noise when rng is None.
 
         Each sample's arrays are views of the batch's: its rows of the
-        world-frame forecasts and of the kernels the branches used.
+        world-frame forecasts and of the kernels the branches used.  No
+        samples give ``[]``.
         """
+        samples = list(samples)
+        if not samples:
+            return []
         if noise is None:
             noise = self.draw_noise(rng) if rng is not None else self.zero_noise()
-        samples = list(samples)
         batch = self.encode(samples)
         with T.no_grad():
             pred, info = self.forward(batch, noise)

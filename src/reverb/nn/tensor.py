@@ -27,10 +27,24 @@ its gradient is never computed.  What each vjp keeps:
 - ``layer_norm(x, gamma, beta, eps)``, one node for the normalisation
   of the last axis: x̂, σ = sqrt(var + eps) and γ;
 - ``affine(x, w, b, activation)``, one node and one flat 2-d GEMM for
-  ``act(x @ w + b)``: ``x`` for the weight gradient, ``w`` for the
-  input gradient, and the output only for ``tanh``/``relu``;
+  ``act(x @ w + b)``: ``x`` for the weight gradient (or ``x``'s
+  rebuild, below), ``w`` for the input gradient, and the output only
+  for ``tanh``/``relu``;
 - ``attention(q, k, v, heads, scale)``, one node for multi-head scaled
   dot-product attention: the probabilities and the q/k/v head views.
+
+Selective recomputation: three outputs can be rebuilt, byte for byte,
+from arrays their own vjp keeps anyway, so an ``affine`` they feed keeps
+the rebuild, a zero-argument function in the input's ``_remat``, and
+not the input's array.  The output of ``layer_norm`` is ``x̂ * γ + β``,
+that of ``attention`` the merged ``p @ v`` heads, and that of a ``mul``
+whose two operands both need a gradient ``a * b`` (the rehearsal
+field).  ``_remat`` is set only when the op records a node, so nothing
+changes under ``no_grad``; no other op reads it, and no GEMM is redone.
+The layer-norm outputs, the attention contexts and the field are then
+freed in the forward, and each is rebuilt for one weight gradient in
+backward.  The arrays behind a rebuild must not change between the
+forward and the backward, as for every array a vjp keeps.
 
 ``segment_mean`` and the vjp of ``index_select`` add rows by id with one
 ``np.bincount`` (``_scatter_add_rows``), in row order from +0.0 as
@@ -63,15 +77,19 @@ def no_grad():
 class Tensor:
     """A float64 array, its ``grad``, and the ``_node`` of the op that made
     it (``None`` for a leaf or a constant).  Only a leaf that requires
-    grad keeps a gradient; ``backward`` adds into its ``grad`` in place."""
+    grad keeps a gradient; ``backward`` adds into its ``grad`` in place.
+    ``_remat`` is ``None`` or a zero-argument function that returns an
+    array with the bytes of ``data``, which ``affine`` keeps instead of
+    ``data`` (see the module docstring)."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_remat")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._node = None
+        self._remat = None
 
     @property
     def shape(self):
@@ -149,12 +167,13 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, vjp) -> Tensor:
+def _make(data, parents, vjp, remat=None) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(vjp, tuple(p._node or (p if p.requires_grad else None)
                                      for p in parents))
+        out._remat = remat
     return out
 
 
@@ -246,7 +265,8 @@ def mul(a, b) -> Tensor:
     ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
     return _make(a.data * b.data, (a, b), lambda g: (
         None if bd is None else _unbroadcast(g * bd, sa),
-        None if ad is None else _unbroadcast(g * ad, sb)))
+        None if ad is None else _unbroadcast(g * ad, sb)),
+        None if ad is None or bd is None else lambda: ad * bd)
 
 
 def div(a, b) -> Tensor:
@@ -405,22 +425,26 @@ ACTIVATIONS = ("none", "tanh", "relu")
 def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    rx, rg, rb, gd = x.requires_grad, gamma.requires_grad, beta.requires_grad, gamma.data
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    sigma = np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    rx, rg, rb = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    gd, bd, dim = gamma.data, beta.data, x.shape[-1]
+    # Means as ``sum / n``: the same bytes as ``np.mean``, without its overhead.
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / dim
+    sigma = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / dim + eps)
     xhat /= sigma
-    out = xhat * gd
-    out += beta.data
+
+    def output():
+        out = xhat * gd
+        out += bd
+        return out
 
     def vjp(g):
-        dim = xhat.shape[-1]
         flat = g.reshape(-1, dim)
         gx = None
         if rx:
             gh = g * gd
-            gx = gh - gh.mean(axis=-1, keepdims=True)
+            gx = gh - gh.sum(axis=-1, keepdims=True) / dim
             gh *= xhat
-            gx -= xhat * gh.mean(axis=-1, keepdims=True)
+            gx -= xhat * (gh.sum(axis=-1, keepdims=True) / dim)
             gx /= sigma
         return (
             gx,
@@ -428,7 +452,7 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
             flat.sum(axis=0) if rb else None,
         )
 
-    return _make(out, (x, gamma, beta), vjp)
+    return _make(output(), (x, gamma, beta), vjp, output)
 
 
 def affine(x, w, b, activation: str = "none") -> Tensor:
@@ -440,7 +464,9 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
         raise ShapeError(f"affine: cannot map {x.shape} through a {w.shape} weight")
     k, n = w.shape
     shape, rb = x.shape, b.requires_grad
-    xd, wd = (x.data if w.requires_grad else None), (w.data if x.requires_grad else None)
+    # The weight gradient reads ``x``: its rebuild when it has one, else its data.
+    xd = (x._remat or x.data) if w.requires_grad else None
+    wd = w.data if x.requires_grad else None
     flat_out = x.data.reshape(-1, k) @ w.data
     flat_out += b.data
     if activation == "tanh":
@@ -457,7 +483,7 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
             g = g * (saved > 0)
         return (
             (g @ wd.T).reshape(shape) if wd is not None else None,
-            xd.reshape(-1, k).T @ g if xd is not None else None,
+            (xd() if callable(xd) else xd).reshape(-1, k).T @ g if xd is not None else None,
             g.sum(axis=0) if rb else None,
         )
 
@@ -503,7 +529,10 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
             gv,
         )
 
-    return _make(merge(p @ vh, lq), (q, k, v), vjp)
+    def context():
+        return merge(p @ vh, lq)
+
+    return _make(context(), (q, k, v), vjp, context)
 
 
 def _scatter_add_rows(values, ids, num_rows: int) -> np.ndarray:

@@ -159,3 +159,48 @@ class TestQueryProjection:
         assert_matches(lambda: model._query(branch, parts, z),
                        lambda: oracles.query_projection(branch.proj, parts, z, branch.rows),
                        leaves, rng)
+
+
+# The three ops whose output an ``affine`` rebuilds in backward instead of
+# keeping; the ``mul`` operands broadcast as the rehearsal field's do.
+PRODUCERS = {
+    "layer_norm": lambda rng: T.layer_norm(leaf(rng, (2, 3, 6)), leaf(rng, (6,)),
+                                           leaf(rng, (6,)), 1e-5),
+    "attention": lambda rng: T.attention(leaf(rng, (2, 5, 6)), leaf(rng, (2, 4, 6)),
+                                         leaf(rng, (2, 4, 6)), 2, 0.5),
+    "mul": lambda rng: T.mul(leaf(rng, (2, 4, 1, 6)), leaf(rng, (2, 1, 3, 6))),
+}
+
+
+class TestRebuiltInputs:
+    @pytest.mark.parametrize("op", list(PRODUCERS))
+    def test_rebuild_repeats_the_bytes(self, op):
+        t = PRODUCERS[op](np.random.default_rng(640))
+        assert t._remat is not None
+        assert t._remat().tobytes() == t.data.tobytes()
+
+    @pytest.mark.parametrize("activation", ["none", "relu"])
+    @pytest.mark.parametrize("op", list(PRODUCERS))
+    def test_affine_gradients_match_a_plain_copy(self, op, activation):
+        rng = np.random.default_rng(641)
+        t = PRODUCERS[op](rng)
+        assert t._remat is not None  # the affine below takes the rebuild path
+        copy = T.Tensor(t.data.copy(), requires_grad=True)
+        w, b = leaf(rng, (6, 5)), leaf(rng, (5,))
+        g = rng.normal(size=t.shape[:-1] + (5,))
+        rebuilt = T.affine(t, w, b, activation)
+        plain = T.affine(copy, w, b, activation)
+        assert rebuilt.data.tobytes() == plain.data.tobytes()
+        for got, want in zip(rebuilt._node.vjp(g), plain._node.vjp(g)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", list(PRODUCERS))
+    def test_no_rebuild_without_a_node(self, op):
+        with T.no_grad():
+            t = PRODUCERS[op](np.random.default_rng(642))
+        assert t._node is None and t._remat is None
+
+    def test_mul_with_one_gradient_keeps_no_rebuild(self):
+        rng = np.random.default_rng(643)
+        t = T.mul(leaf(rng, (3, 4)), T.Tensor(rng.normal(size=(3, 4))))
+        assert t._node is not None and t._remat is None

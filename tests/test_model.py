@@ -387,6 +387,54 @@ class TestLossGraph:
         assert all(ref() is None for ref in projected)
         assert all(ref() is not None for ref in relu)
 
+    def test_inputs_affine_rebuilds_are_freed_before_backward(self, monkeypatch):
+        """The ``ln_ff`` outputs, the attention contexts and the rehearsal
+        field die in the forward, while ``loss``, ``pred`` and ``info`` are
+        held: the ``affine`` each feeds rebuilds it in backward.  The relu
+        outputs and the attention probabilities, which vjps read, stay."""
+        ln_ff, contexts, fields, relu, probs = [], [], [], [], []
+        attention, affine = T.attention, T.affine
+        rehearse = ReverbPredictor._rehearse
+
+        def recording_attention(*args):
+            out = attention(*args)
+            contexts.append(weakref.ref(out.data))
+            # the probabilities, as the attention vjp keeps them
+            cells = dict(zip(out._node.vjp.__code__.co_freevars, out._node.vjp.__closure__))
+            probs.append(weakref.ref(cells["p"].cell_contents))
+            return out
+
+        def recording_affine(x, w, b, activation="none"):
+            out = affine(x, w, b, activation)
+            if activation == "relu":
+                relu.append(weakref.ref(out.data.base))
+            return out
+
+        def feed_forward(call):
+            def wrapped(self, x):
+                ln_ff.append(weakref.ref(x.data))
+                return call(self, x)
+            return wrapped
+
+        def recording_rehearse(self, f, r, g, decode):
+            def recording_decode(fld):
+                fields.append(weakref.ref(fld.data))
+                return decode(fld)
+            return rehearse(self, f, r, g, recording_decode)
+
+        monkeypatch.setattr(T, "attention", recording_attention)
+        monkeypatch.setattr(T, "affine", recording_affine)
+        monkeypatch.setattr(FeedForward, "__call__", feed_forward(FeedForward.__call__))
+        monkeypatch.setattr(ReverbPredictor, "_rehearse", recording_rehearse)
+        model = ReverbPredictor(toy_config(), seed=38)
+        batch = model.encode([make_sample(seed=54, n_neighbors=2)])
+        loss, pred, info = model.loss(batch, model.zero_noise())  # held, no backward yet
+        assert len(fields) == 2 and ln_ff and contexts and relu and probs
+        assert all(ref() is None for ref in ln_ff + contexts + fields)
+        assert all(ref() is not None for ref in relu + probs)
+        T.backward(loss)
+        assert all(np.isfinite(p.grad).all() for _, p in model.store.items())
+
     def test_alpha_beta_train_through_social_branch_alone(self):
         model = ReverbPredictor(toy_config(use_non=False), seed=34)
         batch = model.encode([make_sample(seed=51, n_neighbors=1)])
@@ -556,6 +604,16 @@ class TestPredict:
             for p, q in zip(got, want):
                 assert p.values.tobytes() == q.values.tobytes()
                 assert p.y_lin.tobytes() == q.y_lin.tobytes()
+
+    def test_no_samples_predict_no_forecasts(self):
+        model = ReverbPredictor(toy_config(), seed=42)
+        assert model.predict([]) == []
+        assert model.predict(iter(()), rng=np.random.default_rng(0)) == []
+
+    def test_encode_of_no_samples_is_a_shape_error(self):
+        model = ReverbPredictor(toy_config(), seed=43)
+        with pytest.raises(ShapeError, match="encode: no samples"):
+            model.encode([])
 
 
 class TestClosedFormRehearsal:
