@@ -170,10 +170,6 @@ def _int_list(flag: str, text: str) -> list:
     return out
 
 
-def _load_run_config(args) -> RunConfig:
-    return load_config(args.config, args.set)
-
-
 def _samples_from_manifest(cfg: RunConfig, split: str, stride: int = 1):
     if not cfg.manifest:
         raise ConfigError("no data manifest configured ([data] manifest)")
@@ -192,7 +188,7 @@ def _samples_from_manifest(cfg: RunConfig, split: str, stride: int = 1):
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
     samples = _samples_from_manifest(cfg, cfg.train_split, args.window_stride)
     os.makedirs(out_dir, exist_ok=True)
@@ -260,7 +256,7 @@ def _evaluate(model: ReverbPredictor, samples, k: int, sample: bool, seed: int):
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
     model, _, meta = load_model(args.checkpoint, cfg)
     split = args.split or cfg.eval_split
@@ -288,7 +284,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
     generations = _int_list("--generations", args.generations) if args.generations else None
     model, _, _ = load_model(args.checkpoint, cfg)
@@ -315,7 +311,7 @@ def cmd_curves(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
     variants = [v for v in args.variants.split(",") if v]
     unknown = [v for v in variants if v not in ABLATION_VARIANTS]
@@ -363,7 +359,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
     spec = SynthLatencySpec(
         n_scenes=args.scenes,

@@ -16,9 +16,8 @@ that bound numerically.
 
 :func:`reverberation_transform` takes a general F and is the reference
 oracle.  The model only ever applies it to a sequential similarity,
-whose slices are rank 1 (``F_d = f_d f_d^T``), so
-``ReverbPredictor._rehearse`` uses ``g.T @ F_d @ r = (g.T f_d)(f_d^T r)``
-and never builds F.
+whose slices are rank 1 (``F_d = f_d f_d^T``), so ``ReverbPredictor._rehearse``
+uses ``g.T @ F_d @ r = (g.T f_d)(f_d^T r)`` and builds neither F nor the field.
 """
 
 from __future__ import annotations

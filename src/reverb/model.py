@@ -17,10 +17,10 @@ bucket-major).  Both branches share one builder (``_add_branch``) and
 one forward (``_branch``); they differ only in row count and query
 features.
 
-Every channel of the similarity tensor is rank 1, ``F_d = f_d f_d^T``,
-so the model computes ``G^T F_d R`` as ``(G^T f_d)(f_d^T R)`` and never
-builds the (B, rows, rows, d) tensor F.  ``kernels.reverberation_transform``
-stays the general-F oracle this closed form is tested against.
+Every similarity channel is rank 1, ``F_d = f_d f_d^T``, so ``_rehearse``
+contracts ``(G^T f_d)(f_d^T R)`` with the linear decode and inverse transform
+and builds neither F nor the (B, K_g, T_f, d) field.  The general-F oracle
+``kernels.reverberation_transform`` tests this closed form.
 
 There is one path from samples to forecast, and it is batched:
 ``encode`` stacks every ego window of a batch, and every neighbor window
@@ -236,8 +236,10 @@ class ReverbPredictor:
                 per_step=c.per_step_partitions,
             )
             self._add_branch("soc", 2 * c.d + c.z_dim, c.soc_rows)
-        inv = transforms.inverse_matrix(c.transform, c.t_f, c.m)
-        self._inv = T.Tensor(np.array(inv))
+        # Row j maps spectrum column j: of each future row (_inv_w), of all rows (_inv_b).
+        inv = transforms.inverse_matrix(c.transform, c.t_f, c.m).reshape(c.fut_rows, c.cols, -1)
+        self._inv_w = T.Tensor(inv.transpose(1, 0, 2).reshape(c.cols, -1))
+        self._inv_b = T.Tensor(inv.sum(axis=0))
 
     def _add_branch(self, name: str, in_dim: int, rows: int):
         """Build one correction branch.  Parameters are added in field
@@ -343,24 +345,21 @@ class ReverbPredictor:
         return r, g
 
     def _rehearse(self, f: T.Tensor, r: T.Tensor, g: T.Tensor, decode: Dense) -> T.Tensor:
-        """Reverberation field -> decode -> inverse transform.
+        """Reverberation, decode and inverse transform as one contraction.
 
-        Each similarity channel is rank 1, ``F_d = f_d f_d^T``, so
-        ``G^T F_d R = (G^T f_d)(f_d^T R)``: two matmuls and a broadcast
-        product give the (B, K_g, T_f, d) field without building F.
-        The tape does not keep the field: the product's two factors are
-        kept anyway, and ``decode``'s weight gradient rebuilds the field
-        from them in backward (``nn/tensor.py``, selective recomputation).
+        The channels are rank 1, so ``G^T F_d R = (G^T f_d)(f_d^T R)``; the
+        decode and the inverse transform are fixed linear maps, so they fold
+        into the second factor: ``h`` contracts ``rf`` over the future rows
+        with ``decode.w @ inv_w``, and ``seq = gf @ h`` plus the mapped bias.
+        Neither F nor the (B, K_g, T_f, d) field is built, forward or back.
         """
         c = self.config
         bsz, _, d = f.data.shape
         gf = T.matmul(T.transpose(g, (0, 2, 1)), f)
         rf = T.matmul(T.transpose(r, (0, 2, 1)), f)
-        fld = (T.reshape(gf, (bsz, c.k_g, 1, d))
-               * T.reshape(rf, (bsz, 1, c.fut_rows, d)))
-        spec = decode(fld)
-        flat = T.reshape(spec, (bsz, c.k_g, c.fut_rows * c.cols))
-        seq = T.matmul(flat, self._inv)
+        a = T.reshape(T.matmul(decode.w, self._inv_w), (d, c.fut_rows, -1))
+        h = T.transpose(T.matmul(T.transpose(rf, (2, 0, 1)), a), (1, 0, 2))
+        seq = T.matmul(gf, h) + T.matmul(T.reshape(decode.b, (1, c.cols)), self._inv_b)
         return T.reshape(seq, (bsz, c.k_g, c.t_f, c.m))
 
     def _query(self, branch: _Branch, query_parts: list, z: np.ndarray) -> T.Tensor:

@@ -36,7 +36,7 @@ def atomic_write(path, data):
     or an iterable of str/bytes pieces streamed into the temporary file.
     The file is fsynced before the rename and its directory after it.  On
     failure, also one raised while the pieces are produced, the temporary
-    file is removed and ``path`` is left as it was."""
+    file is removed and ``path`` is left as it was; an ``OSError`` names ``path``."""
     if isinstance(data, (str, bytes)):
         data = [data]
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -47,9 +47,11 @@ def atomic_write(path, data):
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(e, OSError):
+            raise OSError(f"cannot write {path}: {e.strerror or e}") from e
         raise
     fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:

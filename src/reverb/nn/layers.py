@@ -98,7 +98,7 @@ class ParameterStore:
 
     def load_arrays(self, arrays: dict, vector=None, prefix: str = ""):
         """Fill ``vector`` in place from ``arrays[prefix + name]`` (other keys
-        are ignored); mismatches raise with a full diff."""
+        are ignored); mismatches raise one line: the first three and a count."""
         vector = self.pack() if vector is None else vector
         problems = []
         for name, p in self._params.items():
@@ -111,8 +111,8 @@ class ParameterStore:
         problems += [f"unexpected {key} {np.shape(a)}" for key, a in arrays.items()
                      if key.startswith(prefix) and key[len(prefix):] not in self._params]
         if problems:
-            raise ConfigError("checkpoint/model dimension mismatch:\n  "
-                              + "\n  ".join(problems))
+            raise ConfigError("checkpoint/model dimension mismatch: " + "; ".join(problems[:3])
+                              + (f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""))
         for name, view in zip(self._params, self._views(vector)):
             view[...] = arrays[prefix + name]
 

@@ -33,18 +33,17 @@ its gradient is never computed.  What each vjp keeps:
 - ``attention(q, k, v, heads, scale)``, one node for multi-head scaled
   dot-product attention: the probabilities and the q/k/v head views.
 
-Selective recomputation: three outputs can be rebuilt, byte for byte,
+Selective recomputation: two outputs can be rebuilt, byte for byte,
 from arrays their own vjp keeps anyway, so an ``affine`` they feed keeps
 the rebuild, a zero-argument function in the input's ``_remat``, and
 not the input's array.  The output of ``layer_norm`` is ``x̂ * γ + β``,
-that of ``attention`` the merged ``p @ v`` heads, and that of a ``mul``
-whose two operands both need a gradient ``a * b`` (the rehearsal
-field).  ``_remat`` is set only when the op records a node, so nothing
-changes under ``no_grad``; no other op reads it, and no GEMM is redone.
-The layer-norm outputs, the attention contexts and the field are then
-freed in the forward, and each is rebuilt for one weight gradient in
-backward.  The arrays behind a rebuild must not change between the
-forward and the backward, as for every array a vjp keeps.
+and that of ``attention`` the merged ``p @ v`` heads.  ``_remat`` is
+set only when the op records a node, so nothing changes under
+``no_grad``; no other op reads it, and no GEMM is redone.  The
+layer-norm outputs and the attention contexts are then freed in the
+forward, and each is rebuilt for one weight gradient in backward.  The
+arrays behind a rebuild must not change between the forward and the
+backward, as for every array a vjp keeps.
 
 ``segment_mean`` and the vjp of ``index_select`` add rows by id with one
 ``np.bincount`` (``_scatter_add_rows``), in row order from +0.0 as
@@ -265,8 +264,7 @@ def mul(a, b) -> Tensor:
     ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
     return _make(a.data * b.data, (a, b), lambda g: (
         None if bd is None else _unbroadcast(g * bd, sa),
-        None if ad is None else _unbroadcast(g * ad, sb)),
-        None if ad is None or bd is None else lambda: ad * bd)
+        None if ad is None else _unbroadcast(g * ad, sb)))
 
 
 def div(a, b) -> Tensor:

@@ -50,13 +50,16 @@ def save_checkpoint(path, model: ReverbPredictor, adam: Adam, epoch: int,
 def load_model(path, cfg: RunConfig) -> tuple:
     """Build a model from config and fill it from a checkpoint.
 
-    Returns (model, arrays, meta); raises ConfigError with the full
-    dimension diff when the checkpoint disagrees with the config, and a
-    hash comparison when shapes agree but settings do not.
+    Returns (model, arrays, meta); raises ConfigError naming the checkpoint,
+    with its first dimension mismatches when it disagrees with the config,
+    or a hash comparison when shapes agree but settings do not.
     """
     arrays, meta = checkpoint.load(path)
     model = ReverbPredictor(cfg.model, seed=cfg.seed)
-    model.store.load_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
+    try:
+        model.store.load_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
+    except ConfigError as e:
+        raise ConfigError(f"checkpoint {path}: {e}") from None
     want = model_hash(cfg.model)
     got = meta.get("model_hash", "")
     if got and got != want:
@@ -92,7 +95,6 @@ def run_training(cfg: RunConfig, samples, out_dir, resume=None,
     cfg.validate()
     if not samples:
         raise ConfigError("no training samples after windowing")
-    os.makedirs(out_dir, exist_ok=True)
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
 
@@ -117,7 +119,7 @@ def run_training(cfg: RunConfig, samples, out_dir, resume=None,
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(n)
-        total, seen = 0.0, 0
+        total = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             sub = encoded.subset(idx)
@@ -127,9 +129,8 @@ def run_training(cfg: RunConfig, samples, out_dir, resume=None,
             T.backward(loss)
             adam.step()
             total += float(loss.data) * len(idx)
-            seen += len(idx)
         model.store.check_finite(f"parameter after epoch {epoch + 1}")
-        stats = EpochStats(epoch=epoch + 1, mean_loss=total / seen)
+        stats = EpochStats(epoch=epoch + 1, mean_loss=total / n)
         history.append(stats)
         if progress is not None:
             progress(stats)

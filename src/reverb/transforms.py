@@ -30,7 +30,7 @@ information is dropped.
 
 All transforms are linear, so each also exposes its inverse as a dense
 matrix acting on flattened spectra (:func:`inverse_matrix`), which is
-what the model uses inside the differentiable decode path.
+what the model folds into its differentiable decode.
 """
 
 from __future__ import annotations

@@ -284,11 +284,20 @@ def _overfit_run(job):
     return (kernel_r, seed), _mean_min_ade(out["model"], eval_samples), time.time() - t0
 
 
+def _in_workers(fn, jobs):
+    """``[fn(job) for job in jobs]`` in two spawned worker processes, each
+    with one BLAS thread; every job gives the values it gives alone."""
+    with pytest.MonkeyPatch.context() as env:  # the workers read it at start-up
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.setenv(var, "1")
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            return pool.map(fn, jobs, chunksize=1)
+
+
 @pytest.fixture(scope="module")
 def overfit_runs(tmp_path_factory):
     """Criteria 7 and 9 share these ten trainings (5 seeds x 2 variants).
-    They are independent, so two spawned worker processes run them, each
-    with one BLAS thread; every run gives the values it gives alone."""
+    They are independent, so they run in two workers."""
     root = tmp_path_factory.mktemp("overfit")
     start = time.time()
     train_samples, _ = _latency_corpus(200, seed=11, sigma=0.05,
@@ -298,11 +307,7 @@ def overfit_runs(tmp_path_factory):
     jobs = [(kernel_r, seed, train_samples, eval_samples,
              str(root / f"r{int(kernel_r)}-s{seed}"))
             for kernel_r in (True, False) for seed in (1, 2, 3, 4, 5)]
-    with pytest.MonkeyPatch.context() as env:  # the workers read it at start-up
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env.setenv(var, "1")
-        with multiprocessing.get_context("spawn").Pool(2) as pool:
-            results = pool.map(_overfit_run, jobs, chunksize=1)
+    results = _in_workers(_overfit_run, jobs)
     runs = {key: ade for key, ade, _ in results}
     seconds = {key: elapsed for key, _, elapsed in results}
     baseline = float(np.mean(
@@ -325,26 +330,33 @@ def test_criterion_07_overfit_beats_linear(overfit_runs):
           f"{linear_ade:.4f} (ratio {ratio:.3f} <= 0.70) in {elapsed:.0f}s")
 
 
+def _latency_run(job):
+    """One seed of criterion 8: the mean argmax of the event step's R curve
+    for each latency group (delta 1, 2, 3)."""
+    seed, samples, delta_of, out_dir = job
+    cfg = RunConfig()
+    cfg.model = ModelConfig(t_h=8, t_f=12, d=16, k_g=8, n_theta=4,
+                            tf_layers=1, tf_heads=4, use_soc=False)
+    cfg.epochs = 75
+    cfg.batch_size = 25
+    cfg.lr = 3e-3
+    cfg.seed = seed
+    out = run_training(cfg, samples, out_dir)
+    key = cfg.model.hist_rows  # 1-based key of the step holding t_e
+    groups = {1: [], 2: [], 3: []}
+    for pred, s in zip(out["model"].predict(samples), samples):
+        curve = curves.branch_curves(pred.kernels_non.r)[0][0, 0, key - 1]
+        groups[delta_of[(s.scene_id, s.agent_id)]].append(int(np.argmax(curve)))
+    return [float(np.mean(groups[d])) for d in (1, 2, 3)]
+
+
 def test_criterion_08_latency_recovery(tmp_path_factory):
+    """Five independent seeds, run in two workers."""
     root = tmp_path_factory.mktemp("latency")
     samples, delta_of = _latency_corpus(120, seed=21, sigma=0.0,
                                         deltas=(1, 2, 3), pulse_scale=0.8)
-    per_seed = []
-    for seed in (1, 2, 3, 4, 5):
-        cfg = RunConfig()
-        cfg.model = ModelConfig(t_h=8, t_f=12, d=16, k_g=8, n_theta=4,
-                                tf_layers=1, tf_heads=4, use_soc=False)
-        cfg.epochs = 75
-        cfg.batch_size = 25
-        cfg.lr = 3e-3
-        cfg.seed = seed
-        out = run_training(cfg, samples, str(root / f"s{seed}"))
-        key = cfg.model.hist_rows  # 1-based key of the step holding t_e
-        groups = {1: [], 2: [], 3: []}
-        for pred, s in zip(out["model"].predict(samples), samples):
-            curve = curves.branch_curves(pred.kernels_non.r)[0][0, 0, key - 1]
-            groups[delta_of[(s.scene_id, s.agent_id)]].append(int(np.argmax(curve)))
-        per_seed.append([float(np.mean(groups[d])) for d in (1, 2, 3)])
+    per_seed = _in_workers(_latency_run, [(seed, samples, delta_of, str(root / f"s{seed}"))
+                                          for seed in (1, 2, 3, 4, 5)])
     group_means = np.mean(per_seed, axis=0)
     rho = _spearman([1, 2, 3], group_means)
     assert np.all(np.diff(group_means) >= 0), group_means

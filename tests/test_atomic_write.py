@@ -48,6 +48,15 @@ def test_failed_rename_keeps_target_and_leaves_no_temp(tmp_path, monkeypatch, wr
     assert os.listdir(tmp_path) == ["artifact"]
 
 
+def test_os_error_names_the_target_not_the_temporary_file(tmp_path):
+    path = tmp_path / "missing" / "artifact"
+    with pytest.raises(OSError) as caught:
+        atomic_write(str(path), "new\n")
+    assert str(caught.value) == f"cannot write {path}: No such file or directory"
+    assert ".tmp." not in str(caught.value)
+    assert isinstance(caught.value.__cause__, FileNotFoundError)
+
+
 def test_text_is_written_as_utf8(tmp_path):
     path = tmp_path / "t.txt"
     atomic_write(str(path), "bearing θ\n")

@@ -173,6 +173,8 @@ MALFORMED_INPUTS = {
     "checkpoint_bad_adam_shape": ("model.bin", rb"(tensor adam\.m\.\S+ float64 )[0-9,]+",
                                   rb"\g<1>1", 2, "model.bin",
                                   "shape adam.m.enc.alpha.0.b: checkpoint (1,)"),
+    "checkpoint_other_model_dim": ("run.ini", rb"\nd = 8\n", b"\nd = 16\n", 1, "model.bin",
+                                   "(and 119 more)"),
 }
 
 
@@ -190,6 +192,7 @@ def test_malformed_input_exit_code_and_message(tmp_path, capsys, case):
     assert str(tmp_path / named) in err
     assert text in err
     assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def write_float32_checkpoint(path, arrays, meta):
@@ -344,10 +347,21 @@ def test_eval_linear_only_matches_baseline(tmp_path):
     assert m["stdADE"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_eval_checkpoint_config_mismatch_is_usage_error(trained, tmp_path):
+def test_eval_checkpoint_config_mismatch_is_usage_error(trained, tmp_path, capsys):
+    capsys.readouterr()
     assert run(["eval", "--config", trained["ini"], "--checkpoint",
                 trained["ckpt"], "--set", "model.transform=db2",
                 "--report", str(tmp_path / "e.json")]) == 1
+    err = capsys.readouterr().err
+    assert trained["ckpt"] in err and err.count("\n") == 1
+
+
+def test_eval_report_in_a_missing_directory_names_the_report(trained, capsys):
+    capsys.readouterr()
+    assert run(["eval", "--config", trained["ini"], "--checkpoint", trained["ckpt"],
+                "--report", "/nonexistent/dir/e.json"]) == 2
+    assert capsys.readouterr().err == ("reverb: data error: cannot write "
+                                       "/nonexistent/dir/e.json: No such file or directory\n")
 
 
 def test_curves_csv(trained, tmp_path):
@@ -385,9 +399,9 @@ class TestReportPins:
     pinned, so a change to how they are computed or written cannot move
     one byte of them."""
 
-    CURVES_SHA = "84213bb96eb05e0d0ffb8c23a5db9fddebd2eb8d241d58d526f3bb71154a8e85"
-    LONG_CURVES_SHA = "e989c3187d9a2b79f879e516675ed078395247af1426a1404f3247e2d9899aa6"
-    EVAL_SHA = "6803af6c942967ac1addb614c56ac4a75507c259c25c2a0d8da29cac93cd854a"
+    CURVES_SHA = "7235337582e21b3b7317b202b6ca110e275d8fcc4425b31c7a6e1862658f0d08"
+    LONG_CURVES_SHA = "bb8ffc621449ee461d34b085e9a7c869c12dedda6c1d089783e73cc733fea8c6"
+    EVAL_SHA = "ed241b92d12942df784a2ecabc0f444badc3ddf096915005c4cbc6955c38b05f"
 
     def test_curves_csv_bytes(self, trained, tmp_path):
         path = tmp_path / "curves.csv"

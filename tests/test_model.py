@@ -388,13 +388,12 @@ class TestLossGraph:
         assert all(ref() is not None for ref in relu)
 
     def test_inputs_affine_rebuilds_are_freed_before_backward(self, monkeypatch):
-        """The ``ln_ff`` outputs, the attention contexts and the rehearsal
-        field die in the forward, while ``loss``, ``pred`` and ``info`` are
-        held: the ``affine`` each feeds rebuilds it in backward.  The relu
-        outputs and the attention probabilities, which vjps read, stay."""
-        ln_ff, contexts, fields, relu, probs = [], [], [], [], []
+        """The ``ln_ff`` outputs and the attention contexts die in the
+        forward, while ``loss``, ``pred`` and ``info`` are held: the
+        ``affine`` each feeds rebuilds it in backward.  The relu outputs
+        and the attention probabilities, which vjps read, stay."""
+        ln_ff, contexts, relu, probs = [], [], [], []
         attention, affine = T.attention, T.affine
-        rehearse = ReverbPredictor._rehearse
 
         def recording_attention(*args):
             out = attention(*args)
@@ -416,24 +415,48 @@ class TestLossGraph:
                 return call(self, x)
             return wrapped
 
-        def recording_rehearse(self, f, r, g, decode):
-            def recording_decode(fld):
-                fields.append(weakref.ref(fld.data))
-                return decode(fld)
-            return rehearse(self, f, r, g, recording_decode)
-
         monkeypatch.setattr(T, "attention", recording_attention)
         monkeypatch.setattr(T, "affine", recording_affine)
         monkeypatch.setattr(FeedForward, "__call__", feed_forward(FeedForward.__call__))
-        monkeypatch.setattr(ReverbPredictor, "_rehearse", recording_rehearse)
         model = ReverbPredictor(toy_config(), seed=38)
         batch = model.encode([make_sample(seed=54, n_neighbors=2)])
         loss, pred, info = model.loss(batch, model.zero_noise())  # held, no backward yet
-        assert len(fields) == 2 and ln_ff and contexts and relu and probs
-        assert all(ref() is None for ref in ln_ff + contexts + fields)
+        assert ln_ff and contexts and relu and probs
+        assert all(ref() is None for ref in ln_ff + contexts)
         assert all(ref() is not None for ref in relu + probs)
         T.backward(loss)
         assert all(np.isfinite(p.grad).all() for _, p in model.store.items())
+
+    def test_no_array_of_the_field_shape_is_made(self, monkeypatch):
+        """The rehearsal is a contraction: no op output, vjp gradient or
+        rebuild of a training step has the (B, K_g, fut_rows, d) shape of
+        the reverberation field ``(G^T f_d)(f_d^T R)``."""
+        forward, backward = [], []
+        make = T._make
+
+        def recording_make(data, parents, vjp, remat=None):
+            def recording_vjp(g):
+                grads = vjp(g)
+                backward.extend(np.shape(x) for x in grads if x is not None)
+                return grads
+
+            def recording_remat():
+                out = remat()
+                backward.append(out.shape)
+                return out
+
+            forward.append(np.shape(data))
+            return make(data, parents, recording_vjp, remat and recording_remat)
+
+        monkeypatch.setattr(T, "_make", recording_make)
+        cfg = toy_config()
+        model = ReverbPredictor(cfg, seed=39)
+        batch = model.encode([make_sample(seed=s, n_neighbors=s % 3) for s in (55, 56, 57)])
+        loss, _, _ = model.loss(batch, model.zero_noise())
+        T.backward(loss)
+        field = (3, cfg.k_g, cfg.fut_rows, cfg.d)
+        assert len(set(forward)) > 10 and len(set(backward)) > 10
+        assert field not in forward and field not in backward
 
     def test_alpha_beta_train_through_social_branch_alone(self):
         model = ReverbPredictor(toy_config(use_non=False), seed=34)

@@ -72,8 +72,8 @@ class TestTinyRunPin:
     how the training state is stored or updated must not move one byte of
     the loss log or the final checkpoint."""
 
-    LOSS_LOG_SHA = "bde9890836f9d60fa24bfd4b3a12e7a083d64da575196bc1226d34ea5f3ffb88"
-    FINAL_SHA = "d13db82cd015fccb06af0521969dc57ac998d1ad50d8a2bb60dd0dac24d74b14"
+    LOSS_LOG_SHA = "e85d4be616b1c0a54c2b5ae3a6ee198c0a267352cad1fbb7adcaabf6feb3e58c"
+    FINAL_SHA = "f43d6fbcc2db11ff404baf90b34504fe4c94d827cdbdd00b62d43dbfde321e42"
 
     def test_loss_log_and_final_checkpoint_bytes(self, tmp_path):
         cfg = tiny_cfg()
