@@ -257,6 +257,20 @@ def test_synth_layout(corpus):
     assert len(list((data / "scenes").glob("*.tsv"))) == 4
 
 
+class TestDefaultSynthPin:
+    """``reverb synth`` with no generator flags writes pinned bytes, so the
+    generator defaults cannot drift."""
+
+    LABELS_SHA = "f3b47161dd737d67e361e019d5f06b18ee339d6aea882966da4b49b83b7f78a5"
+    MANIFEST_SHA = "6575e5ff342bfcc27114acfa93e0c75a545d9ae212308e3f7c1d270d885c67b7"
+
+    def test_labels_and_manifest_bytes(self, tmp_path):
+        assert run(["synth", "--out-dir", str(tmp_path)]) == 0
+        sha = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert sha("labels.json") == self.LABELS_SHA
+        assert sha("manifest.txt") == self.MANIFEST_SHA
+
+
 def test_synth_rejects_all_test_split(tmp_path):
     assert run(["synth", "--out-dir", str(tmp_path), "--scenes", "2",
                 "--test-scenes", "2"]) == 1

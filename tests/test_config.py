@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 
@@ -142,6 +143,21 @@ def test_hash_is_stable_and_sensitive():
     c.model.use_soc = False
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 12
+
+
+class TestDefaultConfigPin:
+    """The default config's text and hashes are pinned: a change to how
+    the settings are declared or read must not move one byte of them."""
+
+    DUMP_SHA = "5888a6d7dd6d87ee48ec2b8130f35aba1c5214ee2b9507a30cb838bc571d7976"
+
+    def test_dump_config_bytes(self):
+        text = dump_config(RunConfig())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DUMP_SHA
+
+    def test_config_and_model_hash(self):
+        assert config_hash(RunConfig()) == "48b07c162882"
+        assert model_hash(ModelConfig()) == "bd00948c519e"
 
 
 def test_model_hash_ignores_training_keys():
