@@ -83,10 +83,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="INI config file")
+        p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override one config value (repeatable)")
-        p.add_argument("--out-dir", help="output directory (overrides config/env)")
+        p.add_argument("--out-dir", default=None,
+                       help="output directory (overrides config/env)")
 
     p = sub.add_parser("train", help="fit a model and write checkpoints")
     common(p)
@@ -133,20 +134,23 @@ def build_parser() -> _Parser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("synth", help="generate delayed-turn scenes")
+    # A generator flag that is not given is left out of ``args``, so its
+    # SynthLatencySpec default holds; the other flags say default=None.
+    p = sub.add_parser("synth", help="generate delayed-turn scenes",
+                       argument_default=argparse.SUPPRESS)
     common(p)
-    p.add_argument("--scenes", type=int, default=10)
-    p.add_argument("--agents", type=int, default=3)
-    p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--event-frame", type=int, default=8)
-    p.add_argument("--deltas", default="0,1,2,3")
-    p.add_argument("--duration", type=int, default=4)
-    p.add_argument("--turn", type=float, default=1.2)
-    p.add_argument("--pulse-scale", type=float, default=0.35)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--dt", type=float, default=0.4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-scenes", type=int,
+    p.add_argument("--scenes", dest="n_scenes", type=int)
+    p.add_argument("--agents", dest="n_agents", type=int)
+    p.add_argument("--frames", dest="n_frames", type=int)
+    p.add_argument("--event-frame", dest="t_e", type=int)
+    p.add_argument("--deltas")
+    p.add_argument("--duration", type=int)
+    p.add_argument("--turn", dest="turn_magnitude", type=float)
+    p.add_argument("--pulse-scale", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--test-scenes", type=int, default=None,
                    help="trailing scenes tagged 'test' (default 1 in 5)")
     p.set_defaults(func=cmd_synth)
 
@@ -361,29 +365,23 @@ def cmd_ablate(args) -> int:
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
-    spec = SynthLatencySpec(
-        n_scenes=args.scenes,
-        n_agents=args.agents,
-        n_frames=args.frames,
-        dt=args.dt,
-        t_e=args.event_frame,
-        deltas=tuple(_int_list("--deltas", args.deltas)),
-        duration=args.duration,
-        turn_magnitude=args.turn,
-        pulse_scale=args.pulse_scale,
-        sigma=args.sigma,
-        seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthLatencySpec)
+             if hasattr(args, f.name)}
+    if "deltas" in given:
+        given["deltas"] = tuple(_int_list("--deltas", given["deltas"]))
+    spec = SynthLatencySpec(**given)
     scenes, labels = synth_latency_scenes(spec)
-    scene_dir = os.path.join(out_dir, "scenes")
-    os.makedirs(scene_dir, exist_ok=True)
     n_test = args.test_scenes
     if n_test is None:
         n_test = max(1, len(scenes) // 5) if len(scenes) > 1 else 0
+    if n_test < 0:
+        raise ConfigError(f"--test-scenes must be >= 0, got {n_test}")
     if n_test >= len(scenes) and len(scenes) > 1:
         raise ConfigError(
             f"--test-scenes {n_test} leaves no training scenes of {len(scenes)}"
         )
+    scene_dir = os.path.join(out_dir, "scenes")
+    os.makedirs(scene_dir, exist_ok=True)
     manifest = [f"# seed={spec.seed}"]
     for i, scene in enumerate(scenes):
         rel = os.path.join("scenes", f"{scene.scene_id}.tsv")

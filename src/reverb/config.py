@@ -3,7 +3,7 @@
 Grammar (INI as read by configparser, no interpolation):
 
     [model]
-    ; horizons, feature dims, toggles (see SCHEMA)
+    ; horizons, feature dims, toggles (the ModelConfig fields)
     t_h = 8
     [train]
     lr = 3e-4
@@ -26,6 +26,7 @@ import configparser
 import dataclasses
 import hashlib
 import os
+import typing
 
 from .data import read_text
 from .errors import ConfigError, ParseError
@@ -33,42 +34,29 @@ from .model import ModelConfig
 
 ENV_OUTPUT_DIR = "REVERB_OUTPUT_DIR"
 
-_OPTIONAL_INT = "optional_int"
-
-SCHEMA = {
-    "model": {
-        "t_h": int, "t_f": int, "m": int, "dt": float, "transform": str,
-        "d": int, "k_g": int, "n_theta": int, "tf_layers": int,
-        "tf_heads": int, "noise_dim": _OPTIONAL_INT,
-        "use_linear": bool, "use_non": bool, "use_soc": bool,
-        "kernel_r": bool, "kernel_g": bool, "per_step_partitions": bool,
-    },
-    "train": {
-        "lr": float, "batch_size": int, "epochs": int, "seed": int,
-        "checkpoint_every": int,
-    },
-    "data": {"manifest": str, "train_split": str, "eval_split": str},
-    "output": {"dir": str},
-}
-
 _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
 }
 
 
+def _setting(section: str, default, key: str | None = None):
+    """A RunConfig field read from ``[section] key`` (key: the field name)."""
+    return dataclasses.field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclasses.dataclass
 class RunConfig:
     model: ModelConfig = dataclasses.field(default_factory=ModelConfig)
-    lr: float = 3e-4
-    batch_size: int = 1000
-    epochs: int = 200
-    seed: int = 1
-    checkpoint_every: int = 50
-    manifest: str = ""
-    train_split: str = "train"
-    eval_split: str = "test"
-    output_dir: str = "runs/default"
+    lr: float = _setting("train", 3e-4)
+    batch_size: int = _setting("train", 1000)
+    epochs: int = _setting("train", 200)
+    seed: int = _setting("train", 1)
+    checkpoint_every: int = _setting("train", 50)
+    manifest: str = _setting("data", "")
+    train_split: str = _setting("data", "train")
+    eval_split: str = _setting("data", "test")
+    output_dir: str = _setting("output", "runs/default", key="dir")
 
     def validate(self) -> "RunConfig":
         self.model.validate()
@@ -85,6 +73,24 @@ class RunConfig:
         return self
 
 
+def _schema() -> dict:
+    """``{section: {key: (attribute, type)}}``: ``[model]`` holds every
+    ModelConfig field, the other sections the RunConfig fields whose
+    metadata names them."""
+    schema = {}
+    for cls, fixed in ((ModelConfig, "model"), (RunConfig, None)):
+        types = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            section = fixed or f.metadata.get("section")
+            if section:
+                key = f.metadata.get("key") or f.name
+                schema.setdefault(section, {})[key] = (f.name, types[f.name])
+    return schema
+
+
+SCHEMA = _schema()
+
+
 def _format(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -95,20 +101,11 @@ def _format(value) -> str:
 
 def as_sections(cfg: RunConfig) -> dict:
     """Canonical nested dict of every effective setting, as strings."""
-    m = cfg.model
     return {
-        section: {key: _format(_read_field(cfg, m, section, key))
-                  for key in sorted(keys)}
+        section: {key: _format(getattr(cfg.model if section == "model" else cfg, attr))
+                  for key, (attr, _) in sorted(keys.items())}
         for section, keys in SCHEMA.items()
     }
-
-
-def _read_field(cfg: RunConfig, m: ModelConfig, section: str, key: str):
-    if section == "model":
-        return getattr(m, key)
-    if section == "output":
-        return cfg.output_dir
-    return getattr(cfg, key)
 
 
 def _hash_lines(lines) -> str:
@@ -127,7 +124,8 @@ def config_hash(cfg: RunConfig) -> str:
 def model_hash(model: ModelConfig) -> str:
     """Hash of the model section alone; checkpoint compatibility key."""
     return _hash_lines(
-        f"model.{key}={_format(getattr(model, key))}" for key in SCHEMA["model"]
+        f"model.{key}={_format(getattr(model, attr))}"
+        for key, (attr, _) in SCHEMA["model"].items()
     )
 
 
@@ -141,32 +139,20 @@ def dump_config(cfg: RunConfig) -> str:
     return "\n".join(out)
 
 
-def _convert(section: str, key: str, raw: str):
-    kind = SCHEMA[section][key]
+def _assign(cfg: RunConfig, section: str, key: str, raw: str):
+    """Set ``[section] key`` of ``cfg`` from its text."""
+    attr, kind = SCHEMA[section][key]
     raw = raw.strip()
+    optional = typing.get_args(kind)  # ``X | None``: empty text is None
+    kind = optional[0] if optional else kind
     try:
-        if kind is bool:
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(raw)
-            return _BOOL_WORDS[word]
-        if kind is _OPTIONAL_INT:
-            return None if raw == "" else int(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: cannot read {raw!r} as "
-            f"{'int' if kind is _OPTIONAL_INT else kind.__name__}"
-        ) from None
-
-
-def _apply(cfg: RunConfig, section: str, key: str, value):
-    if section == "model":
-        setattr(cfg.model, key, value)
-    elif section == "output":
-        cfg.output_dir = value
-    else:
-        setattr(cfg, key, value)
+        if optional and raw == "":
+            value = None
+        else:
+            value = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"[{section}] {key}: cannot read {raw!r} as {kind.__name__}") from None
+    setattr(cfg.model if section == "model" else cfg, attr, value)
 
 
 def _apply_file(cfg: RunConfig, path):
@@ -194,7 +180,7 @@ def _apply_file(cfg: RunConfig, path):
             if key not in SCHEMA[section]:
                 unknown.append(f"[{section}] {key}")
             else:
-                _apply(cfg, section, key, _convert(section, key, raw))
+                _assign(cfg, section, key, raw)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
@@ -214,7 +200,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
         section, key = dotted.split(".", 1)
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown config key {section}.{key}")
-        _apply(cfg, section, key, _convert(section, key, raw))
+        _assign(cfg, section, key, raw)
     return cfg.validate()
 
 

@@ -117,7 +117,7 @@ def _chunk_curves(preds, config, generations: list):
     return np.concatenate(values, axis=1), np.concatenate(flags, axis=1)
 
 
-def _windows_then_mean(model, samples, generations: list, noise=None):
+def _windows_then_mean(model, samples, generations: list):
     """Yields (prediction, values, degenerate) per window, predicted
     ``PREDICT_CHUNK`` windows at a time, and last (None, mean values,
     flags set by any window).  The mean is a running sum in window order
@@ -126,7 +126,7 @@ def _windows_then_mean(model, samples, generations: list, noise=None):
     if len(samples) == 0:
         raise InsufficientDataError("cannot average curves over an empty split")
     total, flags = 0.0, False
-    for preds in model.predict_chunks(samples, noise=noise):
+    for preds in model.predict_chunks(samples):
         values, degenerate = _chunk_curves(preds, model.config, generations)
         for pred, v, d in zip(preds, values, degenerate):
             total = total + v
@@ -135,14 +135,14 @@ def _windows_then_mean(model, samples, generations: list, noise=None):
     yield None, total / len(samples), flags
 
 
-def average_curves(model, samples, generations=None, noise=None):
+def average_curves(model, samples, generations=None):
     """Dataset-mean curves from a model's zero-noise predictions.
 
     Returns (labels, values, degenerate): the :func:`curve_labels` table
     and the (C, T_f) mean values and any-window degenerate flags.
     """
     gens = _generations(generations, model.config.k_g)
-    for _, values, degenerate in _windows_then_mean(model, samples, gens, noise):
+    for _, values, degenerate in _windows_then_mean(model, samples, gens):
         pass  # the last item is the mean
     return curve_labels(model.config, gens), values, degenerate
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -285,8 +286,8 @@ class SynthLatencySpec:
             raise ValidationError("need at least two frames")
         if self.t_e < 2:
             raise ValidationError("event frame t_e must be >= 2")
-        if any(d < 0 for d in self.deltas):
-            raise ValidationError("onset delays must be >= 0")
+        if not self.deltas or min(self.deltas) < 0:
+            raise ValidationError("need at least one onset delay, all >= 0")
         if self.duration < 1:
             raise ValidationError("turn duration must be >= 1")
         if self.t_e + max(self.deltas) + self.duration > self.n_frames:
@@ -360,8 +361,6 @@ def _synth_agent(spec: SynthLatencySpec, rng, delta: int):
 def load_split_manifest(path) -> dict:
     """Read lines of ``<split> <scene-path>``; paths resolve relative to
     the manifest's directory."""
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     splits: dict = {}
     for line_no, text in _data_lines(path):

@@ -103,6 +103,10 @@ class ModelConfig:
             raise ConfigError(f"need n_theta >= 1, got {self.n_theta}")
         if self.d < 2:
             raise ConfigError(f"feature dim too small: {self.d}")
+        if self.tf_layers < 1 or self.tf_heads < 1:
+            raise ConfigError(
+                f"need tf_layers >= 1 and tf_heads >= 1, got {self.tf_layers}, {self.tf_heads}"
+            )
         if self.d % self.tf_heads:
             raise ConfigError(f"d={self.d} not divisible by heads={self.tf_heads}")
         if self.z_dim < 1:
@@ -484,12 +488,12 @@ class ReverbPredictor:
             for b, s in enumerate(samples)
         ]
 
-    def predict_chunks(self, samples, noise: dict | None = None):
+    def predict_chunks(self, samples):
         """``predict`` over consecutive ``PREDICT_CHUNK``-window slices of
         ``samples``, yielding one slice's predictions at a time, so a
         report over a split holds one chunk's arrays, not the split's."""
         for start in range(0, len(samples), PREDICT_CHUNK):
-            yield self.predict(samples[start:start + PREDICT_CHUNK], noise=noise)
+            yield self.predict(samples[start:start + PREDICT_CHUNK])
 
     def _pair(self, info: dict, branch: str, b: int):
         r, g = info[f"r_{branch}"], info[f"g_{branch}"]

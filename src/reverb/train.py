@@ -95,8 +95,6 @@ def run_training(cfg: RunConfig, samples, out_dir, resume=None,
     cfg.validate()
     if not samples:
         raise ConfigError("no training samples after windowing")
-    ckpt_dir = os.path.join(out_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
 
     if resume is None:
         model = ReverbPredictor(cfg.model, seed=cfg.seed)
@@ -112,7 +110,12 @@ def run_training(cfg: RunConfig, samples, out_dir, resume=None,
             raise ParseError(str(e), path=resume) from None
         adam.step_count = _meta_int(meta, "adam_t", resume)
         start_epoch = _meta_int(meta, "epoch", resume)
+        if start_epoch > cfg.epochs:
+            raise ConfigError(f"checkpoint {resume} is at epoch {start_epoch}, "
+                              f"past train.epochs = {cfg.epochs}")
 
+    ckpt_dir = os.path.join(out_dir, "checkpoints")
+    os.makedirs(ckpt_dir, exist_ok=True)
     encoded = model.encode(samples)
     n = encoded.size
     history = []

@@ -85,6 +85,21 @@ def test_unknown_config_key_is_usage_error(corpus):
                 "--set", "train.epoch=1"]) == 1
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["--set", "model.tf_heads=0"], "tf_heads >= 1, got 1, 0"),
+    (["--set", "model.tf_heads=-2"], "tf_heads >= 1, got 1, -2"),
+    (["--set", "model.tf_layers=-1"], "tf_layers >= 1 and tf_heads >= 1, got -1, 2"),
+    (["--set", "train.epochs=1", "--resume", "{ckpt}"], "at epoch 2, past train.epochs = 1"),
+])
+def test_train_setting_out_of_range_is_one_line_usage_error(trained, capsys, argv, text):
+    argv = [a.format(ckpt=trained["ckpt"]) for a in argv]
+    capsys.readouterr()
+    assert run(["train", "--config", trained["ini"], "--quiet"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("reverb: config error: ") and text in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_missing_manifest_is_data_error(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[data]\nmanifest = /nonexistent/manifest.txt\n")
@@ -274,6 +289,16 @@ class TestDefaultSynthPin:
 def test_synth_rejects_all_test_split(tmp_path):
     assert run(["synth", "--out-dir", str(tmp_path), "--scenes", "2",
                 "--test-scenes", "2"]) == 1
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--scenes", "5", "--test-scenes", "-3"], "--test-scenes must be >= 0, got -3"),
+    (["--deltas", ","], "need at least one onset delay, all >= 0"),
+])
+def test_synth_rejects_out_of_range_flags(tmp_path, capsys, argv, line):
+    assert run(["synth", "--out-dir", str(tmp_path)] + argv) == 1
+    assert capsys.readouterr().err == f"reverb: config error: {line}\n"
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 def test_train_artifacts(trained):

@@ -116,6 +116,9 @@ def test_values_are_validated():
         load_config(None, ["train.lr=-1"])
     with pytest.raises(ConfigError):
         load_config(None, ["train.batch_size=0"])
+    for key, value in [("tf_heads", 0), ("tf_heads", -2), ("tf_layers", 0), ("tf_layers", -1)]:
+        with pytest.raises(ConfigError, match=f"{key} >= 1"):
+            load_config(None, [f"model.{key}={value}"])
 
 
 def test_dump_round_trips(tmp_path):

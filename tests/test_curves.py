@@ -193,7 +193,7 @@ class KernelModel:
                                       hist_rows=t_h, fut_rows=t_f, k_g=1)
         self.chunk = chunk
 
-    def predict_chunks(self, samples, noise=None):
+    def predict_chunks(self, samples):
         for start in range(0, len(samples), self.chunk):
             yield [SimpleNamespace(kernels_non=ReverbKernelPair(r, np.ones((len(r), 1))))
                    for r in samples[start:start + self.chunk]]

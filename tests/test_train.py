@@ -145,6 +145,16 @@ def test_resume_is_byte_exact(tmp_path):
     assert rows("resumed")[2:] == rows("full")[4:6]
 
 
+def test_resume_past_the_epoch_budget_is_rejected(tmp_path):
+    cfg = tiny_cfg(epochs=4)
+    samples = tiny_samples(cfg)
+    final = run_training(cfg, samples, str(tmp_path / "run"))["final_checkpoint"]
+    with pytest.raises(ConfigError) as err:
+        run_training(tiny_cfg(epochs=2), samples, str(tmp_path / "resumed"), resume=final)
+    assert str(err.value) == f"checkpoint {final} is at epoch 4, past train.epochs = 2"
+    assert not (tmp_path / "resumed").exists()
+
+
 def test_resume_builds_the_model_and_adam_once(tmp_path, monkeypatch):
     cfg = tiny_cfg()
     samples = tiny_samples(cfg)
