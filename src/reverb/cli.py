@@ -71,10 +71,9 @@ ABLATION_VARIANTS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
+    """argparse prints its usage and exits 2; the contract is one line, exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -82,12 +81,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="reverb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out_dir=True):
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override one config value (repeatable)")
-        p.add_argument("--out-dir", default=None,
-                       help="output directory (overrides config/env)")
+        if out_dir:
+            p.add_argument("--out-dir", default=None,
+                           help="output directory (overrides config/env)")
 
     p = sub.add_parser("train", help="fit a model and write checkpoints")
     common(p)
@@ -111,8 +111,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("curves", help="export latency curves as CSV")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--scene", help="score one scene file instead of the manifest")
-    p.add_argument("--split", help="manifest split (default eval split)")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--scene", help="score one scene file instead of the manifest")
+    where.add_argument("--split", help="manifest split (default eval split)")
     p.add_argument("--agent", help="restrict to one ego agent id")
     p.add_argument("--window-stride", type=int, default=1)
     p.add_argument("--generations", help="comma list of 1-based generation ids "
@@ -155,7 +156,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("gradcheck", help="finite-difference self check")
-    common(p)
+    common(p, out_dir=False)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--max-per-param", type=int, default=8)
     p.add_argument("--seed", type=int, default=1)
@@ -413,6 +414,10 @@ def _gradcheck_config() -> RunConfig:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.max_per_param < 1:
+        raise ConfigError(f"--max-per-param must be >= 1, got {args.max_per_param}")
+    if not 0 < args.tol < np.inf:
+        raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
     if args.config or args.set:
         cfg = load_config(args.config, args.set)
     else:

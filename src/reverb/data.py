@@ -296,6 +296,11 @@ class SynthLatencySpec:
                 f"t_e={self.t_e} + delta={max(self.deltas)} + duration={self.duration} "
                 f"> n_frames={self.n_frames}"
             )
+        for name in ("dt", "sigma", "turn_magnitude", "pulse_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.dt <= 0:
+            raise ValidationError(f"time step dt must be > 0, got {self.dt}")
         if self.sigma < 0:
             raise ValidationError("noise sigma must be >= 0")
         if not (0 < self.speed_range[0] <= self.speed_range[1]):

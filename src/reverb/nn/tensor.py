@@ -16,14 +16,16 @@ fixed by graph construction order, so repeated runs are bit-identical.
 
 An operand with ``requires_grad=False`` (a constant such as a scale
 factor, a lookup table or input data) gets ``None`` from the vjps, so
-its gradient is never computed.  What each vjp keeps:
+its gradient is never computed.  Only the primitive ops record a node
+and carry a vjp.  What each vjp keeps:
 
-- shapes and indices only: ``add``, ``sub``, ``neg``, ``reshape``,
-  ``transpose``, ``sum_``, ``mean_``, ``concat``, ``getitem``,
-  ``index_select``, ``take_per_row``; ``segment_mean`` also its counts;
+- shapes and indices only: ``add``, ``reshape``, ``transpose``,
+  ``sum_``, ``concat``, ``getitem``, ``index_select``;
+  ``segment_mean`` also its counts;
 - ``mul``, ``matmul``: ``b`` when ``a`` needs a gradient, ``a`` when
-  ``b`` does; ``div``: ``b`` and the output;
-- the output: ``tanh``, ``exp``, ``sqrt``, ``softmax``; ``relu``: its mask;
+  ``b`` does; ``div``: ``b``, and the output when ``b`` needs a
+  gradient;
+- the output: ``tanh``, ``exp``, ``sqrt``;
 - ``layer_norm(x, gamma, beta, eps)``, one node for the normalisation
   of the last axis: x̂, σ = sqrt(var + eps) and γ;
 - ``affine(x, w, b, activation)``, one node and one flat 2-d GEMM for
@@ -33,17 +35,26 @@ its gradient is never computed.  What each vjp keeps:
 - ``attention(q, k, v, heads, scale)``, one node for multi-head scaled
   dot-product attention: the probabilities and the q/k/v head views.
 
+The composites have no vjp; their gradients come from the primitives
+they are built of, which keep what is listed above: ``neg`` is
+``mul(a, -1.0)``, ``sub`` is ``add(a, neg(b))`` (``neg`` of a constant
+records no node), ``relu`` is ``mul(a, a > 0)``, ``mean_`` is
+``div(sum_, count)``, ``softmax`` is ``exp(a - max)`` over its ``sum_``
+(the max a constant) and ``take_per_row`` is ``getitem(a, (arange(B),
+idx))``.
+
 Selective recomputation: two outputs can be rebuilt, byte for byte,
 from arrays their own vjp keeps anyway, so an ``affine`` they feed keeps
 the rebuild, a zero-argument function in the input's ``_remat``, and
 not the input's array.  The output of ``layer_norm`` is ``x̂ * γ + β``,
 and that of ``attention`` the merged ``p @ v`` heads.  ``_remat`` is
 set only when the op records a node, so nothing changes under
-``no_grad``; no other op reads it, and no GEMM is redone.  The
-layer-norm outputs and the attention contexts are then freed in the
-forward, and each is rebuilt for one weight gradient in backward.  The
-arrays behind a rebuild must not change between the forward and the
-backward, as for every array a vjp keeps.
+``no_grad``; no other op reads it.  The layer-norm outputs and the
+attention contexts are then freed in the forward, and each is rebuilt
+for one weight gradient in backward: the layer-norm rebuild is one
+multiply-add, but the attention rebuild redoes the batched ``p @ v``
+GEMM of its forward.  The arrays behind a rebuild must not change
+between the forward and the backward, as for every array a vjp keeps.
 
 ``segment_mean`` and the vjp of ``index_select`` add rows by id with one
 ``np.bincount`` (``_scatter_add_rows``), in row order from +0.0 as
@@ -132,22 +143,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis, keepdims)
 
 
 class _Node:
@@ -251,13 +246,6 @@ def add(a, b) -> Tensor:
         _unbroadcast(g, sa) if ra else None, _unbroadcast(g, sb) if rb else None))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
-    return _make(a.data - b.data, (a, b), lambda g: (
-        _unbroadcast(g, sa) if ra else None, _unbroadcast(-g, sb) if rb else None))
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = a.shape, b.shape
@@ -271,19 +259,10 @@ def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb, ra, rb, bd = a.shape, b.shape, a.requires_grad, b.requires_grad, b.data
     out_data = a.data / bd
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / bd, sa) if ra else None,
-            _unbroadcast(-g * out_data / bd, sb) if rb else None,
-        )
-
-    return _make(out_data, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
+    od = out_data if rb else None  # only the gradient of ``b`` reads the output
+    return _make(out_data, (a, b), lambda g: (
+        _unbroadcast(g / bd, sa) if ra else None,
+        _unbroadcast(-g * od / bd, sb) if rb else None))
 
 
 def matmul(a, b) -> Tensor:
@@ -313,12 +292,6 @@ def tanh(a) -> Tensor:
     return _make(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
-
-
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.exp(a.data)
@@ -342,41 +315,8 @@ def _norm_axes(axis, ndim):
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
     shape, axes = a.shape, _norm_axes(axis, a.ndim)
-
-    def vjp(g):
-        if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), vjp)
-
-
-def mean_(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
-    shape, axes = a.shape, _norm_axes(axis, a.ndim)
-    count = int(np.prod([shape[ax] for ax in axes])) if axes else 1
-
-    def vjp(g):
-        if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g / count, shape).copy(),)
-
-    return _make(a.data.mean(axis=axes, keepdims=keepdims), (a,), vjp)
-
-
-def softmax(a, axis=-1) -> Tensor:
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        return ((g - inner) * out_data,)
-
-    return _make(out_data, (a,), vjp)
+    return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), lambda g: (
+        np.broadcast_to(g if keepdims else np.expand_dims(g, axes), shape).copy(),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -393,19 +333,15 @@ def transpose(a, axes) -> Tensor:
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-
-    def vjp(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.moveaxis(moved[lo:hi], 0, axis) for lo, hi in zip(offsets[:-1], offsets[1:])
-        )
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: np.split(g, cuts, axis=axis))
 
 
 def getitem(a, idx) -> Tensor:
-    """Basic (slice/int/None) indexing; use index_select for array indices."""
+    """Indexing that names each element at most once: basic (slice, int,
+    None) indexing, or integer arrays without repeated positions; use
+    index_select for repeated ids."""
     a = _as_tensor(a)
     shape = a.shape
 
@@ -415,6 +351,42 @@ def getitem(a, idx) -> Tensor:
         return (z,)
 
     return _make(a.data[idx], (a,), vjp)
+
+
+# Composites (see the module docstring): no node or vjp of their own.
+
+def neg(a) -> Tensor:
+    return mul(a, -1.0)
+
+
+def sub(a, b) -> Tensor:
+    return add(a, neg(b))
+
+
+def relu(a) -> Tensor:
+    a = _as_tensor(a)
+    return mul(a, a.data > 0)
+
+
+def mean_(a, axis=None, keepdims=False) -> Tensor:
+    """``sum_ / count``, as ``np.mean`` computes it."""
+    a = _as_tensor(a)
+    count = int(np.prod([a.shape[ax] for ax in _norm_axes(axis, a.ndim)]))
+    return div(sum_(a, axis, keepdims), count)
+
+
+def softmax(a, axis=-1) -> Tensor:
+    a = _as_tensor(a)
+    e = exp(sub(a, a.data.max(axis=axis, keepdims=True)))
+    return div(e, sum_(e, axis, keepdims=True))
+
+
+def take_per_row(a, idx) -> Tensor:
+    """``out[b] = a[b, idx[b]]`` for a 2-d tensor; used for best-of-K picks."""
+    a = _as_tensor(a)
+    if a.ndim != 2:
+        raise ShapeError("take_per_row expects a 2-d tensor")
+    return getitem(a, (np.arange(a.shape[0]), np.asarray(idx, dtype=np.intp)))
 
 
 ACTIVATIONS = ("none", "tanh", "relu")
@@ -556,22 +528,6 @@ def index_select(a, idx, axis=0) -> Tensor:
         return (np.moveaxis(z, 0, axis),)
 
     return _make(a.data[expanded], (a,), vjp)
-
-
-def take_per_row(a, idx) -> Tensor:
-    """``out[b] = a[b, idx[b]]`` for a 2-d tensor; used for best-of-K picks."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError("take_per_row expects a 2-d tensor")
-    idx = np.asarray(idx, dtype=np.intp)
-    shape, rows = a.shape, np.arange(a.shape[0])
-
-    def vjp(g):
-        z = np.zeros(shape)
-        np.add.at(z, (rows, idx), g)
-        return (z,)
-
-    return _make(a.data[rows, idx], (a,), vjp)
 
 
 def segment_mean(a, ids, num_segments: int) -> Tensor:

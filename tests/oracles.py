@@ -1,9 +1,10 @@
 """Reference forms that tests compare the program against.
 
-The layer oracles build their results from elementary tape ops
-(``matmul``, ``add``, ``mean_``, ``softmax``, ...), one node per step,
-so their forwards and gradients come from the generic vjps alone; the
-fused ops in ``reverb.nn.tensor`` and the split query projection in
+The layer oracles build their results from unfused tape ops
+(``matmul``, ``add``, ``mean_``, ``softmax``, ...), one op per step; a
+composite such as ``mean_`` records the nodes of the primitives it is
+built from.  So their forwards and gradients come from the generic vjps
+alone; the fused ops in ``reverb.nn.tensor`` and the split query projection in
 ``ReverbPredictor._query`` must agree with them.  The scatter oracles
 add rows by id with ``np.add.at``, where ``segment_mean`` and the
 ``index_select`` vjp use one ``np.bincount``.  ``encode_preprocessed``

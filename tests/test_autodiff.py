@@ -216,6 +216,86 @@ class TestScatterBytes:
         assert x.grad.tobytes() == oracles.index_select_vjp(shape, idx, w, axis).tobytes()
 
 
+class TestCompositeBytes:
+    """``neg``, ``sub``, ``relu``, ``mean_``, ``softmax`` and
+    ``take_per_row`` are built from other tape ops.  Their forwards have
+    the bytes of the numpy expressions they stand for, and their
+    gradients those of the closed forms they replaced.  A leaf adds its
+    gradient into zeros, so each closed form is added into zeros too."""
+
+    values = staticmethod(TestScatterBytes.values)
+
+    @staticmethod
+    def grad(make, x, rng):
+        """The leaf gradient of ``make(leaf)`` for a seed of ``values``."""
+        leaf_x = T.Tensor(x, requires_grad=True)
+        out = make(leaf_x)
+        g = TestCompositeBytes.values(rng, (out.data.size,)).reshape(out.shape)
+        T.backward(out, seed=g)
+        return leaf_x.grad, g
+
+    def test_elementwise_forwards(self):
+        rng = np.random.default_rng(70)
+        a, b = self.values(rng, (3, 4, 5)), self.values(rng, (4, 5))
+        assert T.sub(T.Tensor(a), T.Tensor(b)).data.tobytes() == (a - b).tobytes()
+        assert T.sub(T.Tensor(b), T.Tensor(a)).data.tobytes() == (b - a).tobytes()
+        assert T.neg(T.Tensor(a)).data.tobytes() == (-a).tobytes()
+        assert T.relu(T.Tensor(a)).data.tobytes() == (a * (a > 0)).tobytes()
+        e = np.exp(a - a.max(axis=1, keepdims=True))
+        want = e / e.sum(axis=1, keepdims=True)
+        assert T.softmax(T.Tensor(a), axis=1).data.tobytes() == want.tobytes()
+
+    def test_elementwise_gradients(self):
+        rng = np.random.default_rng(71)
+        a, b = self.values(rng, (3, 4, 5)), self.values(rng, (4, 5))
+        ga, g = self.grad(lambda x: T.neg(x), a, rng)
+        assert ga.tobytes() == (np.zeros(a.shape) + -g).tobytes()
+        ga, g = self.grad(lambda x: T.relu(x), a, rng)
+        assert ga.tobytes() == (np.zeros(a.shape) + g * (a > 0)).tobytes()
+        # Each operand of ``sub`` in turn; the other is a broadcast constant.
+        ga, g = self.grad(lambda x: T.sub(x, T.Tensor(b)), a, rng)
+        assert ga.tobytes() == (np.zeros(a.shape) + g).tobytes()
+        gb, g = self.grad(lambda y: T.sub(T.Tensor(a), y), b, rng)
+        assert gb.tobytes() == (np.zeros(b.shape) + (-g).sum(axis=0)).tobytes()
+
+    @pytest.mark.parametrize("axis", [None, 1, -1, (0, 2), (2, 0)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean(self, axis, keepdims):
+        rng = np.random.default_rng(72)
+        a = self.values(rng, (3, 4, 5))
+        want = a.mean(axis=axis, keepdims=keepdims)
+        assert T.mean_(T.Tensor(a), axis, keepdims).data.tobytes() == want.tobytes()
+        ga, g = self.grad(lambda x: T.mean_(x, axis, keepdims), a, rng)
+        kept = a.mean(axis=axis, keepdims=True).shape
+        count = a.size // int(np.prod(kept))
+        closed = np.broadcast_to(g.reshape(kept) / count, a.shape)
+        assert ga.tobytes() == (np.zeros(a.shape) + closed).tobytes()
+
+    def test_take_per_row(self):
+        rng = np.random.default_rng(73)
+        a, idx = self.values(rng, (6, 4)), rng.integers(0, 4, size=6)
+        rows = np.arange(6)
+        assert T.take_per_row(T.Tensor(a), idx).data.tobytes() == a[rows, idx].tobytes()
+        ga, g = self.grad(lambda x: T.take_per_row(x, idx), a, rng)
+        one_hot = np.zeros(a.shape)
+        np.add.at(one_hot, (rows, idx), g)
+        assert ga.tobytes() == (np.zeros(a.shape) + one_hot).tobytes()
+        with pytest.raises(ShapeError):
+            T.take_per_row(T.Tensor(np.zeros((2, 3, 4))), idx[:2])
+
+    def test_div_keeps_its_output_only_for_the_divisor_gradient(self):
+        def kept_outputs(out):
+            cells = [c.cell_contents for c in out._node.vjp.__closure__]
+            return [v for v in cells if isinstance(v, np.ndarray) and v.shape == out.shape]
+
+        x = T.Tensor(np.ones((3, 4)), requires_grad=True)
+        assert kept_outputs(T.div(x, 2.0)) == []
+        assert kept_outputs(T.div(x, T.Tensor(np.full(4, 2.0)))) == []
+        assert kept_outputs(T.mean_(x, axis=1)) == []  # the node of its ``div``
+        y = T.Tensor(np.full(4, 2.0), requires_grad=True)
+        assert len(kept_outputs(T.div(x, y))) == 1
+
+
 class TestGraphMechanics:
     def test_no_grad_builds_no_graph(self):
         x = T.Tensor(np.ones(3), requires_grad=True)

@@ -294,6 +294,11 @@ def test_synth_rejects_all_test_split(tmp_path):
 @pytest.mark.parametrize("argv,line", [
     (["--scenes", "5", "--test-scenes", "-3"], "--test-scenes must be >= 0, got -3"),
     (["--deltas", ","], "need at least one onset delay, all >= 0"),
+    (["--dt", "-1"], "time step dt must be > 0, got -1.0"),
+    (["--dt", "nan"], "dt must be finite, got nan"),
+    (["--sigma", "nan"], "sigma must be finite, got nan"),
+    (["--turn", "nan"], "turn_magnitude must be finite, got nan"),
+    (["--pulse-scale=-inf"], "pulse_scale must be finite, got -inf"),
 ])
 def test_synth_rejects_out_of_range_flags(tmp_path, capsys, argv, line):
     assert run(["synth", "--out-dir", str(tmp_path)] + argv) == 1
@@ -577,6 +582,30 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
 
 def test_gradcheck_impossible_tolerance_is_numeric_failure():
     assert run(["gradcheck", "--max-per-param", "2", "--tol", "1e-14"]) == 3
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--max-per-param", "0"], "--max-per-param must be >= 1, got 0"),
+    (["--max-per-param", "-1"], "--max-per-param must be >= 1, got -1"),
+    (["--tol", "0"], "--tol must be a positive finite number, got 0.0"),
+    (["--tol", "-1"], "--tol must be a positive finite number, got -1.0"),
+    (["--tol", "nan"], "--tol must be a positive finite number, got nan"),
+    (["--tol", "inf"], "--tol must be a positive finite number, got inf"),
+])
+def test_gradcheck_rejects_out_of_range_flags(capsys, argv, line):
+    assert run(["gradcheck"] + argv) == 1
+    assert capsys.readouterr().err == f"reverb: config error: {line}\n"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["gradcheck", "--out-dir", "{out}"], "reverb: error: unrecognized arguments: --out-dir {out}"),
+    (["curves", "--checkpoint", "none.bin", "--scene", "a.tsv", "--split", "test"],
+     "reverb curves: error: argument --split: not allowed with argument --scene"),
+])
+def test_flag_that_would_be_ignored_is_one_line_usage_error(tmp_path, capsys, argv, line):
+    out = str(tmp_path / "out")
+    assert run([a.format(out=out) for a in argv]) == 1
+    assert capsys.readouterr().err == line.format(out=out) + "\n"
 
 
 def test_output_dir_env_var(corpus, tmp_path, monkeypatch):
