@@ -354,7 +354,6 @@ def getitem(a, idx) -> Tensor:
 
 
 # Composites (see the module docstring): no node or vjp of their own.
-
 def neg(a) -> Tensor:
     return mul(a, -1.0)
 
