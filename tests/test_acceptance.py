@@ -68,8 +68,8 @@ def test_criterion_01_transform_round_trip():
             t = 2 * int(rng.integers(1, 17))
             m = int(rng.integers(1, 4))
             x = rng.normal(scale=5.0, size=(t, m))
-            back = transforms.inverse_values(transforms.forward_values(x, kind),
-                                             kind)
+            w = transforms.inverse_matrix(kind, t, m)
+            back = (transforms.forward_values(x, kind).ravel() @ w).reshape(t, m)
             errs.append(np.abs(back - x).max())
         worst[kind] = max(errs)
     elapsed = time.time() - start

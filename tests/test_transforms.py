@@ -15,6 +15,11 @@ from reverb.errors import (
 SQRT2 = np.sqrt(2.0)
 
 
+def invert(spec, kind, t, m):
+    """The ``(t, m)`` sequence of a spectrum, through ``inverse_matrix``."""
+    return (np.ravel(spec) @ transforms.inverse_matrix(kind, t, m)).reshape(t, m)
+
+
 class TestHaarExamples:
     def test_hand_computed_pairs(self):
         # pairs (1,1) and (3,5): averages 2/sqrt2, 8/sqrt2; differences 0, -2/sqrt2
@@ -34,7 +39,7 @@ class TestHaarExamples:
         assert_allclose(out[:, 2:], 0.0, atol=1e-12)
 
     def test_inverse_of_hand_spectrum(self):
-        back = transforms.inverse_values(np.array([[SQRT2, 0.0]]), "haar")
+        back = invert([[SQRT2, 0.0]], "haar", 2, 1)
         assert_allclose(back, [[1.0], [1.0]], atol=1e-12)
 
     def test_shape_contract(self):
@@ -52,7 +57,7 @@ class TestIdentityKind:
     def test_inverse_is_identity(self):
         rng = np.random.default_rng(8)
         s = rng.normal(size=(5, 2))
-        assert_allclose(transforms.inverse_values(s, "none"), s)
+        assert_allclose(invert(s, "none", 5, 2), s)
 
 
 class TestDft:
@@ -80,7 +85,7 @@ class TestDb2:
     def test_round_trip_length_8(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(8, 2))
-        back = transforms.inverse_values(transforms.forward_values(x, "db2"), "db2")
+        back = invert(transforms.forward_values(x, "db2"), "db2", *x.shape)
         assert np.abs(back - x).max() <= 1e-6
 
     def test_vanishing_moment_on_affine_input(self):
@@ -94,7 +99,7 @@ class TestDb2:
     def test_minimum_length_pair(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 1))
-        back = transforms.inverse_values(transforms.forward_values(x, "db2"), "db2")
+        back = invert(transforms.forward_values(x, "db2"), "db2", *x.shape)
         assert_allclose(back, x, atol=1e-9)
 
 
@@ -106,7 +111,7 @@ class TestRoundTrip:
             t = 2 * int(rng.integers(1, 17))
             m = int(rng.integers(1, 4))
             x = rng.normal(scale=5.0, size=(t, m))
-            back = transforms.inverse_values(transforms.forward_values(x, kind), kind)
+            back = invert(transforms.forward_values(x, kind), kind, t, m)
             assert np.abs(back - x).max() <= tol
 
 
@@ -130,17 +135,19 @@ class TestLinearity:
 
 
 class TestInverseMatrix:
-    @pytest.mark.parametrize("kind", ["haar", "dft", "db2", "none"])
+    @pytest.mark.parametrize("kind", transforms.KINDS)
     def test_matches_functional_inverse(self, kind):
-        rng = np.random.default_rng(16)
-        t, m = 12, 2
-        big_t, big_m = transforms.spectrum_shape(kind, t, m)
-        w = transforms.inverse_matrix(kind, t, m)
-        assert w.shape == (big_t * big_m, t * m)
-        for _ in range(20):
-            s = rng.normal(size=(big_t, big_m))
-            by_matrix = (s.ravel() @ w).reshape(t, m)
-            assert_allclose(by_matrix, transforms.inverse_values(s, kind), atol=1e-12)
+        # W undoes forward_values: F @ W == I for the forward matrix F
+        for t in range(2, 33, 2):
+            for m in (1, 2, 3):
+                big_t, big_m = transforms.spectrum_shape(kind, t, m)
+                w = transforms.inverse_matrix(kind, t, m)
+                assert w.shape == (big_t * big_m, t * m)
+                assert not w.flags.writeable
+                eye = np.eye(t * m)
+                forward = transforms.forward_values(eye.reshape(-1, t, m), kind)
+                err = np.abs(forward.reshape(t * m, -1) @ w - eye).max()
+                assert err <= 1e-12, (t, m, err)
 
 
 class TestErrors:
