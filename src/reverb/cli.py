@@ -319,6 +319,8 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
     variants = [v for v in args.variants.split(",") if v]
+    if not variants:
+        raise ConfigError("need at least one variant")
     unknown = [v for v in variants if v not in ABLATION_VARIANTS]
     if unknown:
         raise ConfigError(f"unknown ablation variants: {', '.join(unknown)}")
@@ -418,6 +420,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--max-per-param must be >= 1, got {args.max_per_param}")
     if not 0 < args.tol < np.inf:
         raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.config or args.set:
         cfg = load_config(args.config, args.set)
     else:
@@ -454,7 +458,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a numeric fault exits 3 as a NumericError, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (NumericError, TrainingError) as e:
         print(f"reverb: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -60,8 +60,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.model.validate()
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < float("inf"):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

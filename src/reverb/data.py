@@ -305,6 +305,8 @@ class SynthLatencySpec:
             raise ValidationError("noise sigma must be >= 0")
         if not (0 < self.speed_range[0] <= self.speed_range[1]):
             raise ValidationError("speed range must be positive and ordered")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

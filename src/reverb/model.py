@@ -113,8 +113,8 @@ class ModelConfig:
             raise ConfigError("noise dimension must be >= 1")
         if not (self.use_linear or self.use_non or self.use_soc):
             raise ConfigError("all three prediction parts are disabled")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         return self
 
     @property

@@ -40,8 +40,8 @@ they are built of, which keep what is listed above: ``neg`` is
 ``mul(a, -1.0)``, ``sub`` is ``add(a, neg(b))`` (``neg`` of a constant
 records no node), ``relu`` is ``mul(a, a > 0)``, ``mean_`` is
 ``div(sum_, count)``, ``softmax`` is ``exp(a - max)`` over its ``sum_``
-(the max a constant) and ``take_per_row`` is ``getitem(a, (arange(B),
-idx))``.
+(the max a constant) and ``take_per_row`` is ``index_select`` of the
+flattened ``a`` at ``arange(B) * K + idx``.
 
 Selective recomputation: two outputs can be rebuilt, byte for byte,
 from arrays their own vjp keeps anyway, so an ``affine`` they feed keeps
@@ -338,11 +338,17 @@ def concat(tensors, axis=0) -> Tensor:
                  lambda g: np.split(g, cuts, axis=axis))
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
 def getitem(a, idx) -> Tensor:
-    """Indexing that names each element at most once: basic (slice, int,
-    None) indexing, or integer arrays without repeated positions; use
-    index_select for repeated ids."""
+    """Basic indexing (ints, slices, ``None``, ``...``), which names each
+    element at most once; an array, list or bool index raises
+    ``ShapeError``: gather by ids, repeats included, with index_select."""
     a = _as_tensor(a)
+    for part in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(part, (bool, np.bool_)) or not isinstance(part, _BASIC_INDEX):
+            raise ShapeError(f"getitem: gather by a {type(part).__name__} with index_select")
     shape = a.shape
 
     def vjp(g):
@@ -381,11 +387,13 @@ def softmax(a, axis=-1) -> Tensor:
 
 
 def take_per_row(a, idx) -> Tensor:
-    """``out[b] = a[b, idx[b]]`` for a 2-d tensor; used for best-of-K picks."""
+    """``out[b] = a[b, idx[b]]`` for a 2-d ``(B, K)`` tensor (best-of-K
+    picks): a gather of the flat ``a`` at ``arange(B) * K + idx``."""
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ShapeError("take_per_row expects a 2-d tensor")
-    return getitem(a, (np.arange(a.shape[0]), np.asarray(idx, dtype=np.intp)))
+    flat = np.ravel_multi_index((np.arange(a.shape[0]), np.asarray(idx, dtype=np.intp)), a.shape)
+    return index_select(reshape(a, (-1,)), flat)
 
 
 ACTIVATIONS = ("none", "tanh", "relu")

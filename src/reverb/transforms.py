@@ -28,9 +28,10 @@ sequence vanish.
 into the otherwise always-zero imaginary slot of bin 0, so no
 information is dropped.
 
-All transforms are linear, so each also exposes its inverse as a dense
-matrix acting on flattened spectra (:func:`inverse_matrix`), which is
-what the model folds into its differentiable decode.
+A kind is defined by its forward map alone.  Every forward map is
+linear and invertible, so its inverse is the matrix inverse of that map:
+:func:`inverse_matrix` gives it as a dense matrix acting on flattened
+spectra, which is what the model folds into its differentiable decode.
 """
 
 from __future__ import annotations
@@ -90,36 +91,17 @@ def forward_values(values: np.ndarray, kind: str) -> np.ndarray:
     return _dft_forward(x)
 
 
-def inverse_values(values: np.ndarray, kind: str) -> np.ndarray:
-    """Invert a ``(T, M)`` spectrum back to the ``(t, m)`` sequence."""
-    check_kind(kind)
-    s = np.asarray(values, dtype=np.float64)
-    if s.ndim != 2:
-        raise ShapeError(f"spectrum must be 2-d, got shape {s.shape}")
-    if kind == "none":
-        return s.copy()
-    if s.shape[1] % 2:
-        raise ShapeError(f"kind {kind!r} expects an even column count, got {s.shape[1]}")
-    if kind == "haar":
-        return _haar_inverse(s)
-    if kind == "db2":
-        return _db2_inverse(s)
-    return _dft_inverse(s)
-
-
 @functools.lru_cache(maxsize=None)
 def inverse_matrix(kind: str, t: int, m: int) -> np.ndarray:
     """Dense inverse operator ``W`` with ``seq.ravel() == spec.ravel() @ W``.
 
-    Built by pushing identity basis vectors through :func:`inverse_values`,
-    so it agrees with the functional inverse to machine precision.  Shape
-    is ``(T*M, t*m)``.
+    The ``t*m`` identity basis sequences go through :func:`forward_values`
+    as one stack.  Their spectra are the rows of the forward matrix ``F``,
+    with ``x.ravel() @ F == spec.ravel()``, and ``W`` is the inverse of
+    ``F``.  Shape is ``(T*M, t*m)``.
     """
-    T, M = spectrum_shape(kind, t, m)
-    basis = np.eye(T * M)
-    w = np.empty((T * M, t * m))
-    for i in range(T * M):
-        w[i] = inverse_values(basis[i].reshape(T, M), kind).ravel()
+    basis = np.eye(t * m).reshape(t * m, t, m)
+    w = np.linalg.inv(forward_values(basis, kind).reshape(t * m, -1))
     w.setflags(write=False)
     return w
 
@@ -142,15 +124,6 @@ def _checked(values: np.ndarray, kind: str) -> np.ndarray:
 def _haar_forward(x: np.ndarray) -> np.ndarray:
     even, odd = x[..., 0::2, :], x[..., 1::2, :]
     return np.concatenate([(even + odd) / _SQRT2, (even - odd) / _SQRT2], axis=-1)
-
-
-def _haar_inverse(s: np.ndarray) -> np.ndarray:
-    m = s.shape[1] // 2
-    a, d = s[:, :m], s[:, m:]
-    out = np.empty((2 * s.shape[0], m))
-    out[0::2] = (a + d) / _SQRT2
-    out[1::2] = (a - d) / _SQRT2
-    return out
 
 
 def _shift_back(v: np.ndarray) -> np.ndarray:
@@ -179,19 +152,6 @@ def _db2_forward(x: np.ndarray) -> np.ndarray:
     return np.concatenate([_DB2_S * s2, _DB2_D * d1], axis=-1)
 
 
-def _db2_inverse(s: np.ndarray) -> np.ndarray:
-    m = s.shape[1] // 2
-    s2 = s[:, :m] / _DB2_S
-    d1 = s[:, m:] / _DB2_D
-    s1 = s2 + _shift_fwd(d1)
-    odd = d1 + (_SQRT3 / 4.0) * s1 + ((_SQRT3 - 2.0) / 4.0) * _shift_back(s1)
-    even = s1 - _SQRT3 * odd
-    out = np.empty((2 * s.shape[0], m))
-    out[0::2] = even
-    out[1::2] = odd
-    return out
-
-
 def _dft_scale(half: int) -> np.ndarray:
     # sqrt(2) on the doubled bins keeps the packed map orthogonal.
     scale = np.full(half, _SQRT2)
@@ -207,16 +167,3 @@ def _dft_forward(x: np.ndarray) -> np.ndarray:
     im = c.imag[..., :half, :] * scale
     im[..., 0, :] = c.real[..., half, :]
     return np.concatenate([re, im], axis=-1)
-
-
-def _dft_inverse(s: np.ndarray) -> np.ndarray:
-    half, m = s.shape[0], s.shape[1] // 2
-    scale = _dft_scale(half)
-    re = s[:, :m] / scale
-    im = s[:, m:] / scale
-    c = np.empty((half + 1, m), dtype=np.complex128)
-    c.real[:half] = re
-    c.imag[:half] = im
-    c.imag[0] = 0.0
-    c[half] = s[0, m:]
-    return np.fft.irfft(c, n=2 * half, axis=0, norm="ortho")

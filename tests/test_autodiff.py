@@ -152,6 +152,23 @@ class TestReductionsAndShapes:
         x = leaf(rng, (4, 5))
         check(lambda: T.sum_(x[1:3, ::2] * 2.0), {"x": x})
 
+    @pytest.mark.parametrize("idx", [
+        np.array([0, 0]), [0, 0], np.array([1, 2]), np.array([True, False, True, False]),
+        True, (np.arange(2), 0), (slice(None), [1]), np.bool_(True),
+    ], ids=["repeated", "list", "distinct", "mask", "bool", "pair", "list_in_tuple", "np_bool"])
+    def test_getitem_rejects_array_list_and_bool_indices(self, idx):
+        # x[[0, 0]]'s vjp z[idx] += g would add the repeated row once
+        x = T.Tensor(np.arange(20.0).reshape(4, 5), requires_grad=True)
+        with pytest.raises(ShapeError, match="index_select"):
+            x[idx]
+
+    def test_getitem_takes_basic_indices(self):
+        rng = np.random.default_rng(62)
+        x = leaf(rng, (4, 5))
+        for idx in (np.int64(1), (1, slice(None)), (Ellipsis, 0), (None, 2), slice(4, None)):
+            assert x[idx].data.tobytes() == x.data[idx].tobytes()
+        check(lambda: T.sum_(x[np.int64(1)] * x[..., None, 0][2]), {"x": x})
+
 
 class TestGatherScatter:
     def test_index_select_with_repeats(self):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,10 @@ def test_unknown_config_key_is_usage_error(corpus):
     (["--set", "model.tf_heads=-2"], "tf_heads >= 1, got 1, -2"),
     (["--set", "model.tf_layers=-1"], "tf_layers >= 1 and tf_heads >= 1, got -1, 2"),
     (["--set", "train.epochs=1", "--resume", "{ckpt}"], "at epoch 2, past train.epochs = 1"),
+    (["--set", "train.lr=nan"], "learning rate must be positive and finite, got nan"),
+    (["--set", "train.lr=inf"], "learning rate must be positive and finite, got inf"),
+    (["--set", "model.dt=nan"], "dt must be positive and finite, got nan"),
+    (["--set", "model.dt=inf"], "dt must be positive and finite, got inf"),
 ])
 def test_train_setting_out_of_range_is_one_line_usage_error(trained, capsys, argv, text):
     argv = [a.format(ckpt=trained["ckpt"]) for a in argv]
@@ -98,6 +103,17 @@ def test_train_setting_out_of_range_is_one_line_usage_error(trained, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith("reverb: config error: ") and text in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_diverging_train_is_one_stderr_line(corpus, capsys):
+    # pytest's warnings plugin would hide numpy's RuntimeWarnings; record them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["train", "--config", corpus["ini"], "--quiet",
+                    "--set", "train.lr=1e300"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("reverb: numeric failure: ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
 
 
 def test_missing_manifest_is_data_error(tmp_path):
@@ -299,6 +315,7 @@ def test_synth_rejects_all_test_split(tmp_path):
     (["--sigma", "nan"], "sigma must be finite, got nan"),
     (["--turn", "nan"], "turn_magnitude must be finite, got nan"),
     (["--pulse-scale=-inf"], "pulse_scale must be finite, got -inf"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_synth_rejects_out_of_range_flags(tmp_path, capsys, argv, line):
     assert run(["synth", "--out-dir", str(tmp_path)] + argv) == 1
@@ -443,9 +460,9 @@ class TestReportPins:
     pinned, so a change to how they are computed or written cannot move
     one byte of them."""
 
-    CURVES_SHA = "7235337582e21b3b7317b202b6ca110e275d8fcc4425b31c7a6e1862658f0d08"
-    LONG_CURVES_SHA = "bb8ffc621449ee461d34b085e9a7c869c12dedda6c1d089783e73cc733fea8c6"
-    EVAL_SHA = "ed241b92d12942df784a2ecabc0f444badc3ddf096915005c4cbc6955c38b05f"
+    CURVES_SHA = "31f3092cda61d6b16020320f373ecfde045473c63d37064579b07d10c2484ffb"
+    LONG_CURVES_SHA = "79d4e873cf41f75079d06691193d7e280943fbec24c9f7f5873f7296af4edcaa"
+    EVAL_SHA = "90837fac26ad4729cab0deb898ace7a9c5bda8374da20ab9614a03ce09c67f6d"
 
     def test_curves_csv_bytes(self, trained, tmp_path):
         path = tmp_path / "curves.csv"
@@ -573,6 +590,17 @@ def test_ablate_unknown_variant_is_usage_error(corpus, tmp_path):
                 "--csv", str(tmp_path / "a.csv")]) == 1
 
 
+@pytest.mark.parametrize("variants", ["", ","])
+def test_ablate_empty_variant_list_is_usage_error(tmp_path, capsys, variants):
+    # checked before the split loads: this manifest does not exist
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[data]\nmanifest = {tmp_path / 'missing.txt'}\n")
+    assert run(["ablate", "--config", str(ini), "--variants", variants,
+                "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "reverb: config error: need at least one variant\n"
+    assert not (tmp_path / "ablation.csv").exists()
+
+
 def test_gradcheck_passes_at_default_tolerance(capsys):
     assert run(["gradcheck", "--max-per-param", "2"]) == 0
     out = capsys.readouterr().out
@@ -591,6 +619,7 @@ def test_gradcheck_impossible_tolerance_is_numeric_failure():
     (["--tol", "-1"], "--tol must be a positive finite number, got -1.0"),
     (["--tol", "nan"], "--tol must be a positive finite number, got nan"),
     (["--tol", "inf"], "--tol must be a positive finite number, got inf"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
 ])
 def test_gradcheck_rejects_out_of_range_flags(capsys, argv, line):
     assert run(["gradcheck"] + argv) == 1

@@ -119,6 +119,10 @@ def test_values_are_validated():
     for key, value in [("tf_heads", 0), ("tf_heads", -2), ("tf_layers", 0), ("tf_layers", -1)]:
         with pytest.raises(ConfigError, match=f"{key} >= 1"):
             load_config(None, [f"model.{key}={value}"])
+    for key, text in [("train.lr", "learning rate"), ("model.dt", "dt")]:
+        for value in ("nan", "inf", "-inf", "0"):
+            with pytest.raises(ConfigError, match=f"{text} must be positive and finite, got"):
+                load_config(None, [f"{key}={value}"])
 
 
 def test_dump_round_trips(tmp_path):

@@ -72,8 +72,8 @@ class TestTinyRunPin:
     how the training state is stored or updated must not move one byte of
     the loss log or the final checkpoint."""
 
-    LOSS_LOG_SHA = "e85d4be616b1c0a54c2b5ae3a6ee198c0a267352cad1fbb7adcaabf6feb3e58c"
-    FINAL_SHA = "f43d6fbcc2db11ff404baf90b34504fe4c94d827cdbdd00b62d43dbfde321e42"
+    LOSS_LOG_SHA = "3f1baea0f7ac4383cc2850ad802014ae0d92c953ded0d1be438251e32b618afa"
+    FINAL_SHA = "b8b973b4fe11c452e818a1c1b1f8f922d6d7995d1b57b34c3a468d0c276f06bc"
 
     def test_loss_log_and_final_checkpoint_bytes(self, tmp_path):
         cfg = tiny_cfg()
