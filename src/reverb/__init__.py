@@ -32,15 +32,9 @@ from .errors import (
     TrainingError,
     ValidationError,
 )
-from .kernels import (
-    ReverbKernelPair,
-    rank_report,
-    reverberation_transform,
-    sequential_similarity,
-)
 from .linear import LinearFit, linear_fit
 from .metrics import min_ade_fde, stat_ade_fde
-from .model import ModelConfig, PredictionBatch, ReverbPredictor
+from .model import ModelConfig, PredictionBatch, ReverbKernelPair, ReverbPredictor
 from .train import run_training
 from .transforms import KINDS, TimeSeq
 
@@ -79,10 +73,7 @@ __all__ = [
     "min_ade_fde",
     "model_hash",
     "preprocess",
-    "rank_report",
-    "reverberation_transform",
     "run_training",
-    "sequential_similarity",
     "stat_ade_fde",
     "synth_latency_scenes",
     "write_curves_csv",

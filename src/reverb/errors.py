@@ -49,7 +49,7 @@ class InsufficientDataError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numeric invariant failed (rank bound, conditioning, gradcheck)."""
+    """A numeric invariant failed (conditioning, gradcheck)."""
 
 
 class TrainingError(RuntimeError):

@@ -19,8 +19,8 @@ features.
 
 Every similarity channel is rank 1, ``F_d = f_d f_d^T``, so ``_rehearse``
 contracts ``(G^T f_d)(f_d^T R)`` with the linear decode and inverse transform
-and builds neither F nor the (B, K_g, T_f, d) field.  The general-F oracle
-``kernels.reverberation_transform`` tests this closed form.
+and builds neither F nor the (B, K_g, T_f, d) field.  The tests check this
+closed form against the general-F map ``G^T F_d R`` in ``tests/oracles.py``.
 
 There is one path from samples to forecast, and it is batched:
 ``encode`` stacks every ego window of a batch, and every neighbor window
@@ -51,7 +51,6 @@ import numpy as np
 from . import transforms
 from .data import preprocess  # noqa: F401  (perfbench/spans.py counts its calls here)
 from .errors import ConfigError, ShapeError
-from .kernels import ReverbKernelPair
 from .linear import linear_fit
 from .nn import tensor as T
 from .nn.layers import MLP, Dense, ParameterStore
@@ -190,6 +189,14 @@ class EncodedBatch:
         out.pair_sample = np.repeat(np.arange(len(idx), dtype=np.int64), n)
         out.pair_rows = self.pair_rows[pair_keep]
         return out
+
+
+@dataclass
+class ReverbKernelPair:
+    """One sample's kernels: ``r`` (rows, fut_rows) and ``g`` (rows, K_g)."""
+
+    r: np.ndarray
+    g: np.ndarray
 
 
 @dataclass
@@ -496,9 +503,8 @@ class ReverbPredictor:
             yield self.predict(samples[start:start + PREDICT_CHUNK])
 
     def _pair(self, info: dict, branch: str, b: int):
+        """Sample ``b``'s kernels; R has a batch axis, static G one entry."""
         r, g = info[f"r_{branch}"], info[f"g_{branch}"]
-        if r is None or g is None:
+        if r is None:
             return None
-        r_b = r.data[b] if r.data.shape[0] > 1 else r.data[0]
-        g_b = g.data[b] if g.data.shape[0] > 1 else g.data[0]
-        return ReverbKernelPair(r=r_b, g=g_b)
+        return ReverbKernelPair(r=r.data[b], g=g.data[b if g.data.shape[0] > 1 else 0])

@@ -11,17 +11,30 @@ add rows by id with ``np.add.at``, where ``segment_mean`` and the
 stacks ``preprocess`` of each sample, which ``ReverbPredictor.encode``'s
 shift of whole stacks must equal byte for byte.  ``change_point_frame``
 locates the planted heading change of the synthetic generator.
+
+The kernel algebra is the paper's rehearsal in its general form:
+``sequential_similarity`` builds F from features, ``reverberation_transform``
+applies ``g.T @ F_d @ r`` to every slice of any (T, T, D) F, and
+``rank_report`` (with ``matrix_rank`` and ``RankReport``) checks the rank
+bound min(rank g, rank F_d, rank r) on each output slice.  The model
+only ever needs rank-1 slices, so ``ReverbPredictor._rehearse`` uses a
+closed form that these oracles test.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from reverb import transforms
 from reverb.data import preprocess
-from reverb.errors import InsufficientDataError
+from reverb.errors import InsufficientDataError, NumericError
 from reverb.linear import linear_fit
+from reverb.model import ReverbKernelPair
 from reverb.nn import tensor as T
+
+RANK_TOL = 1e-8
 
 
 def dense(x, w, b, activation: str = "none"):
@@ -98,6 +111,71 @@ def encode_preprocessed(model, samples) -> dict:
         "pair_sample": pair_sample,
         "pair_rows": model.social.row_partitions(ego[pair_sample], nbr),
     }
+
+
+def sequential_similarity(f: np.ndarray) -> np.ndarray:
+    """Per-dimension outer products: out[t, u, d] = f[t, d] * f[u, d].
+
+    Every output slice out[:, :, d] is symmetric, PSD and rank <= 1.
+    """
+    return np.einsum("td,ud->tud", f, f)
+
+
+def reverberation_transform(sim: np.ndarray, kernels: ReverbKernelPair) -> np.ndarray:
+    """Apply the kernel pair to a similarity tensor.
+
+    ``sim`` is (T, T, D); the result is (K_g, T_f, D) with slice d equal
+    to ``g.T @ sim[:, :, d] @ r`` exactly (no recurrence, one bilinear
+    contraction).
+    """
+    return np.einsum("tk,tud,uv->kvd", kernels.g, sim, kernels.r, optimize=True)
+
+
+def matrix_rank(a: np.ndarray, rel_tol: float = RANK_TOL) -> int:
+    """Numerical rank: singular values above ``rel_tol`` * sigma_max.
+
+    ``np.linalg.matrix_rank`` takes a relative ``rtol`` only from numpy 2.0.
+    """
+    s = np.linalg.svd(np.atleast_2d(a), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int((s > rel_tol * s[0]).sum())
+
+
+@dataclass
+class RankReport:
+    """Numerical ranks of the kernels, input slices, and output slices."""
+
+    rank_r: int
+    rank_g: int
+    rank_sim: list = field(default_factory=list)
+    rank_out: list = field(default_factory=list)
+
+
+def rank_report(kernels: ReverbKernelPair, sim: np.ndarray) -> RankReport:
+    """Rank diagnostics for one transform application.
+
+    Raises NumericError if any output slice exceeds the rank bound
+    min(rank g, rank F_d, rank r); the bound is a theorem, so a
+    violation signals numerical corruption.
+    """
+    out = reverberation_transform(sim, kernels)
+    report = RankReport(
+        rank_r=matrix_rank(kernels.r),
+        rank_g=matrix_rank(kernels.g),
+    )
+    for d in range(sim.shape[2]):
+        rank_f = matrix_rank(sim[:, :, d])
+        rank_o = matrix_rank(out[:, :, d])
+        report.rank_sim.append(rank_f)
+        report.rank_out.append(rank_o)
+        bound = min(report.rank_g, rank_f, report.rank_r)
+        if rank_o > bound:
+            raise NumericError(
+                f"rank bound violated on slice {d}: rank(out)={rank_o} > "
+                f"min(rank_g={report.rank_g}, rank_f={rank_f}, rank_r={report.rank_r})"
+            )
+    return report
 
 
 def change_point_frame(xy: np.ndarray) -> int:

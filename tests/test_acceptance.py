@@ -14,16 +14,11 @@ import time
 import numpy as np
 import pytest
 
+from oracles import matrix_rank, rank_report, reverberation_transform
 from reverb import cli, curves, metrics, transforms
 from reverb.config import RunConfig
 from reverb.data import SynthLatencySpec, make_windows, synth_latency_scenes
-from reverb.kernels import (
-    ReverbKernelPair,
-    matrix_rank,
-    rank_report,
-    reverberation_transform,
-)
-from reverb.model import ModelConfig, ReverbPredictor
+from reverb.model import ModelConfig, ReverbKernelPair, ReverbPredictor
 from reverb.nn.gradcheck import grad_check
 from reverb.train import run_training
 

@@ -11,8 +11,7 @@ from reverb.curves import (
     write_curves_csv,
 )
 from reverb.errors import InsufficientDataError, ShapeError
-from reverb.kernels import ReverbKernelPair
-from reverb.model import PREDICT_CHUNK, ReverbPredictor
+from reverb.model import PREDICT_CHUNK, ReverbKernelPair, ReverbPredictor
 
 
 def brute_force_non(r):
