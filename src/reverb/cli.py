@@ -230,11 +230,8 @@ def _evaluate(model: ReverbPredictor, samples, k: int, sample: bool, seed: int):
         stats.append(metrics.stat_ade_fde(rows, gt))
         base.append(metrics.min_ade_fde(pred.y_lin[None], gt))
         mins.append((ade, fde))
-        bucket = per_scene.setdefault(pred.scene_id, [])
-        bucket.append((ade, fde))
-    mins = np.array(mins)
-    stats = np.array(stats)
-    base = np.array(base)
+        per_scene.setdefault(pred.scene_id, []).append((ade, fde))
+    mins, stats, base = np.array(mins), np.array(stats), np.array(base)
     return {
         "n_samples": int(len(samples)),
         "metrics": {
@@ -327,6 +324,8 @@ def cmd_ablate(args) -> int:
     seeds = _int_list("--seeds", args.seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seed must be >= 0, got {min(seeds)}")
     train_samples = _samples_from_manifest(cfg, cfg.train_split,
                                            args.window_stride)
     eval_samples = _samples_from_manifest(cfg, cfg.eval_split,
@@ -391,8 +390,7 @@ def cmd_synth(args) -> int:
         write_scene(os.path.join(out_dir, rel), scene)
         tag = "test" if i >= len(scenes) - n_test else "train"
         manifest.append(f"{tag} {rel}")
-    atomic_write(os.path.join(out_dir, "manifest.txt"),
-                       "\n".join(manifest) + "\n")
+    atomic_write(os.path.join(out_dir, "manifest.txt"), "\n".join(manifest) + "\n")
     atomic_write(
         os.path.join(out_dir, "labels.json"),
         json.dumps(

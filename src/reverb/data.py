@@ -326,6 +326,8 @@ def synth_latency_scenes(spec: SynthLatencySpec):
             delta = int(spec.deltas[(s * spec.n_agents + a) % len(spec.deltas)])
             xy, turn = _synth_agent(spec, rng, delta)
             agent_id = f"a{a}"
+            if not np.isfinite(xy).all():
+                raise ValidationError(f"synth-{s:04d} {agent_id}: positions overflow to inf/nan")
             tracklets.append(
                 Tracklet(agent_id, np.arange(1, spec.n_frames + 1, dtype=np.float64), xy)
             )

@@ -316,6 +316,10 @@ def test_synth_rejects_all_test_split(tmp_path):
     (["--turn", "nan"], "turn_magnitude must be finite, got nan"),
     (["--pulse-scale=-inf"], "pulse_scale must be finite, got -inf"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--scenes", "4", "--sigma", "1e308"], "synth-0000 a0: positions overflow to inf/nan"),
+    (["--scenes", "4", "--dt", "1e308"], "synth-0000 a0: positions overflow to inf/nan"),
+    (["--scenes", "4", "--turn", "1e308"], "synth-0000 a0: positions overflow to inf/nan"),
+    (["--scenes", "4", "--pulse-scale", "1e308"], "synth-0000 a2: positions overflow to inf/nan"),
 ])
 def test_synth_rejects_out_of_range_flags(tmp_path, capsys, argv, line):
     assert run(["synth", "--out-dir", str(tmp_path)] + argv) == 1
@@ -599,6 +603,16 @@ def test_ablate_empty_variant_list_is_usage_error(tmp_path, capsys, variants):
                 "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "reverb: config error: need at least one variant\n"
     assert not (tmp_path / "ablation.csv").exists()
+
+
+def test_ablate_negative_seed_is_usage_error_before_training(tmp_path, capsys):
+    # checked before the split loads: this manifest does not exist
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[data]\nmanifest = {tmp_path / 'missing.txt'}\n")
+    assert run(["ablate", "--config", str(ini), "--variants", "full", "--seeds", "1,-1",
+                "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "reverb: config error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "ablate").exists()
 
 
 def test_gradcheck_passes_at_default_tolerance(capsys):
