@@ -34,8 +34,6 @@ from reverb.linear import linear_fit
 from reverb.model import ReverbKernelPair
 from reverb.nn import tensor as T
 
-RANK_TOL = 1e-8
-
 
 def dense(x, w, b, activation: str = "none"):
     """``act(x @ w + b)`` as matmul, add and activation nodes."""
@@ -131,7 +129,7 @@ def reverberation_transform(sim: np.ndarray, kernels: ReverbKernelPair) -> np.nd
     return np.einsum("tk,tud,uv->kvd", kernels.g, sim, kernels.r, optimize=True)
 
 
-def matrix_rank(a: np.ndarray, rel_tol: float = RANK_TOL) -> int:
+def matrix_rank(a: np.ndarray, rel_tol: float = 1e-8) -> int:
     """Numerical rank: singular values above ``rel_tol`` * sigma_max.
 
     ``np.linalg.matrix_rank`` takes a relative ``rtol`` only from numpy 2.0.

@@ -12,7 +12,6 @@ name that ``reverb`` and ``reverb.nn`` export.
 """
 
 import ast
-import importlib
 import importlib.util
 import pathlib
 import sys
