@@ -287,43 +287,57 @@ class ReverbPredictor:
         samples = list(samples)
         if not samples:
             raise ShapeError("encode: no samples")
-        for b, s in enumerate(samples):
-            if s.ego.values.shape != (c.t_h, c.m):
-                raise ShapeError(
-                    f"sample {b}: ego window {s.ego.values.shape}, expected {(c.t_h, c.m)}"
-                )
-            if s.gt.values.shape != (c.t_f, c.m):
-                raise ShapeError(
-                    f"sample {b}: gt window {s.gt.values.shape}, expected {(c.t_f, c.m)}"
-                )
-            for nbr in s.neighbors if c.use_soc else ():
-                if nbr.values.shape != (c.t_h, c.m):
-                    raise ShapeError(
-                        f"sample {b}: neighbor window {nbr.values.shape}, "
-                        f"expected {(c.t_h, c.m)}"
-                    )
-        offsets = np.stack([s.ego.values[-1] if s.offset is None else s.offset
-                            for s in samples])
-        shift = np.where([[s.offset is None] for s in samples], offsets, 0.0)[:, None, :]
-        ego = np.stack([s.ego.values for s in samples]) - shift
+        ego, gt, nbr = self._stack_windows(samples)
+        raw = np.array([s.offset is None for s in samples])
+        offsets = ego[:, -1].astype(np.float64)
+        if not raw.all():
+            offsets[~raw] = [s.offset for s in samples if s.offset is not None]
+        shift = np.where(raw[:, None], offsets, 0.0)[:, None, :]
+        ego = ego - shift
         fit = linear_fit(ego, c.t_f)
         batch = EncodedBatch(
             spec_x=transforms.forward_values(ego, c.transform),
             spec_lin=transforms.forward_values(fit.fitted, c.transform),
             spec_res=transforms.forward_values(ego - fit.fitted, c.transform),
             y_lin=fit.predicted,
-            gt=np.stack([s.gt.values for s in samples]) - shift,
+            gt=gt - shift,
             offsets=offsets,
         )
         if c.use_soc:
-            nbr = np.reshape([v.values for s in samples for v in s.neighbors],
-                             (-1, c.t_h, c.m))
             batch.pair_sample = np.repeat(np.arange(len(samples), dtype=np.int64),
                                           [len(s.neighbors) for s in samples])
             nbr = nbr - shift[batch.pair_sample]
             batch.nbr_spec = self.social.own_spectrum(nbr)
             batch.pair_rows = self.social.row_partitions(ego[batch.pair_sample], nbr)
         return batch
+
+    def _stack_windows(self, samples):
+        """The ego, ground-truth and neighbor windows as three stacks (no
+        neighbors unless the social branch is on).  The shapes are checked
+        per stack; only a wrong one walks the samples, to name the first
+        offender with ``sample {b}: ...``."""
+        c = self.config
+        nbrs = [v.values for s in samples for v in s.neighbors] if c.use_soc else []
+        want = [(c.t_h, c.m), (c.t_f, c.m), (c.t_h, c.m)]
+        try:  # ``np.array`` of a list stacks in C; ``np.stack`` loops per array
+            stacks = [np.array([s.ego.values for s in samples]),
+                      np.array([s.gt.values for s in samples]),
+                      np.array(nbrs) if nbrs else np.zeros((0,) + want[2])]
+        except ValueError:  # windows of different shapes
+            stacks = None
+        if stacks is None or [a.shape[1:] for a in stacks] != want:
+            for b, s in enumerate(samples):
+                if s.ego.values.shape != want[0]:
+                    raise ShapeError(
+                        f"sample {b}: ego window {s.ego.values.shape}, expected {want[0]}")
+                if s.gt.values.shape != want[1]:
+                    raise ShapeError(
+                        f"sample {b}: gt window {s.gt.values.shape}, expected {want[1]}")
+                for nbr in s.neighbors if c.use_soc else ():
+                    if nbr.values.shape != want[2]:
+                        raise ShapeError(
+                            f"sample {b}: neighbor window {nbr.values.shape}, expected {want[2]}")
+        return stacks
 
     def draw_noise(self, rng) -> dict:
         """One z per branch per forward pass; draw order is fixed."""

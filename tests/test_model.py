@@ -643,6 +643,59 @@ class TestPredict:
         with pytest.raises(ShapeError, match="encode: no samples"):
             model.encode([])
 
+    def test_batch_without_neighbours(self):
+        """P = 0: no sample has a neighbour, yet the social branch runs."""
+        model = ReverbPredictor(toy_config(), seed=44)
+        samples = [make_sample(seed=110 + i, n_neighbors=0) for i in range(3)]
+        batch = model.encode(samples)
+        assert batch.pair_sample.shape == (0,)
+        assert batch.nbr_spec.shape[0] == 0 and batch.pair_rows.shape[0] == 0
+        together = model.predict(samples)
+        for s, p in zip(samples, together):
+            np.testing.assert_allclose(p.values, model.predict([s])[0].values, atol=1e-9)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("gt", r"sample 1: gt window \(5, 2\), expected \(6, 2\)"),
+        ("neighbor", r"sample 1: neighbor window \(3, 2\), expected \(4, 2\)"),
+        ("first", r"sample 0: neighbor window \(4, 3\), expected \(4, 2\)"),
+    ])
+    def test_wrong_window_names_the_first_offender(self, bad, message):
+        """Checked per stack, a wrong window is still named as the sample
+        loop names it: the first sample, ego before gt before neighbours."""
+        model = ReverbPredictor(toy_config(), seed=45)
+        samples = [make_sample(seed=120 + i) for i in range(3)]
+        if bad == "gt":
+            samples[1] = replace(samples[1], gt=TimeSeq(np.zeros((5, 2)), 0.4))
+        elif bad == "neighbor":
+            samples[1] = replace(samples[1], neighbors=(TimeSeq(np.zeros((3, 2)), 0.4),))
+        else:  # sample 0's neighbour and sample 1's ego are both wrong
+            samples[0] = replace(samples[0], neighbors=(TimeSeq(np.zeros((4, 3)), 0.4),))
+            samples[1] = replace(samples[1], ego=TimeSeq(np.zeros((6, 2)), 0.4))
+        with pytest.raises(ShapeError, match=message):
+            model.encode(samples)
+
+    def test_encode_reads_each_window_once(self):
+        """The intake's per-window Python work on a valid batch is one read
+        of each window: the shapes are checked on the stacks."""
+        reads = []
+
+        class Seq:
+            def __init__(self, seq):
+                self._seq = seq
+
+            @property
+            def values(self):
+                reads.append(id(self))
+                return self._seq.values
+
+        samples = [make_sample(seed=130 + i, n_neighbors=i) for i in range(4)]
+        counted = [replace(s, ego=Seq(s.ego), gt=Seq(s.gt),
+                           neighbors=tuple(Seq(v) for v in s.neighbors)) for s in samples]
+        model = ReverbPredictor(toy_config(), seed=46)
+        batch = model.encode(counted)
+        assert len(reads) == len(set(reads)) == 2 * 4 + (0 + 1 + 2 + 3)
+        assert batch.nbr_spec.tobytes() == model.encode(samples).nbr_spec.tobytes()
+
 
 class TestClosedFormRehearsal:
     """``_rehearse`` uses G^T F_d R = (G^T f_d)(f_d^T R); the general-F
