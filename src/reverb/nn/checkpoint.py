@@ -33,7 +33,8 @@ DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 def atomic_write(path, data):
     """Write ``data`` via ``<path>.tmp.<pid>`` and a rename, so ``path`` is
     old or new, never partial.  ``data`` is str (written as UTF-8), bytes,
-    or an iterable of str/bytes pieces streamed into the temporary file.
+    or an iterable of str and bytes-like pieces (a contiguous array
+    writes its raw bytes) streamed into the temporary file.
     The file is fsynced before the rename and its directory after it.  On
     failure, also one raised while the pieces are produced, the temporary
     file is removed and ``path`` is left as it was; an ``OSError`` names ``path``."""
@@ -82,7 +83,9 @@ def save(path, arrays: dict, meta: dict | None = None):
         blobs.append(a)
         offset += a.nbytes
     lines.append(f"blob {offset}")
-    atomic_write(path, b"".join([("\n".join(lines) + "\n").encode("ascii"), *blobs]))
+    # Streamed piece by piece: one joined copy of the blob would add its
+    # whole size to the peak memory of a training run.
+    atomic_write(path, [("\n".join(lines) + "\n").encode("ascii"), *blobs])
 
 
 def load(path):

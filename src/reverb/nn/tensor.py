@@ -31,7 +31,7 @@ and carry a vjp.  What each vjp keeps:
 - ``affine(x, w, b, activation)``, one node and one flat 2-d GEMM for
   ``act(x @ w + b)``: ``x`` for the weight gradient (or ``x``'s
   rebuild, below), ``w`` for the input gradient, and the output only
-  for ``tanh``/``relu``;
+  for ``tanh``; a ``relu`` keeps its output's rebuild instead;
 - ``attention(q, k, v, heads, scale)``, one node for multi-head scaled
   dot-product attention: the probabilities and the q/k/v head views.
 
@@ -43,18 +43,26 @@ records no node), ``relu`` is ``mul(a, a > 0)``, ``mean_`` is
 (the max a constant) and ``take_per_row`` is ``index_select`` of the
 flattened ``a`` at ``arange(B) * K + idx``.
 
-Selective recomputation: two outputs can be rebuilt, byte for byte,
-from arrays their own vjp keeps anyway, so an ``affine`` they feed keeps
-the rebuild, a zero-argument function in the input's ``_remat``, and
-not the input's array.  The output of ``layer_norm`` is ``x̂ * γ + β``,
-and that of ``attention`` the merged ``p @ v`` heads.  ``_remat`` is
-set only when the op records a node, so nothing changes under
-``no_grad``; no other op reads it.  The layer-norm outputs and the
-attention contexts are then freed in the forward, and each is rebuilt
-for one weight gradient in backward: the layer-norm rebuild is one
-multiply-add, but the attention rebuild redoes the batched ``p @ v``
-GEMM of its forward.  The arrays behind a rebuild must not change
-between the forward and the backward, as for every array a vjp keeps.
+Selective recomputation: three outputs can be rebuilt, byte for byte,
+through the code of their forward from arrays the tape holds anyway.
+The output of ``layer_norm`` is ``x̂ * γ + β``, that of ``attention``
+the merged ``p @ v`` heads, and that of a relu ``affine`` is
+``relu(x' @ w + b)``, where ``x'`` is its input's rebuild or, without
+one, its input's data.  Each such output has one shared rebuild, a
+``_Rebuild`` in its ``_remat``; only ``affine`` reads it: the weight
+gradient of an ``affine`` it feeds, a relu's rebuild of its own
+output, and a relu's vjp, for its mask.  Each reader is counted when
+its op records a node.  The first read in backward builds the array,
+later readers get the same array, and the last drops it.  ``_remat``
+is set only when the op records a node, so under ``no_grad`` nothing
+is kept and no rebuild is made.  These outputs are freed in the
+forward, then built at most once each in backward: the layer-norm
+rebuild is one multiply-add, the attention rebuild redoes the batched
+``p @ v`` GEMM, and a feed-forward hidden layer (B·L × 4d, the widest
+array of a transformer step) is rebuilt by its ``up`` GEMM for
+``down``'s weight gradient and kept until ``up``'s vjp has its mask.
+The arrays behind a rebuild must not change between the forward and
+the backward, as for every array a vjp keeps.
 
 ``segment_mean`` and the vjp of ``index_select`` add rows by id with one
 ``np.bincount`` (``_scatter_add_rows``), in row order from +0.0 as
@@ -118,9 +126,9 @@ class Tensor:
     """A float64 array, its ``grad``, and the ``_node`` of the op that made
     it (``None`` for a leaf or a constant).  Only a leaf that requires
     grad keeps a gradient; ``backward`` adds into its ``grad`` in place.
-    ``_remat`` is ``None`` or a zero-argument function that returns an
-    array with the bytes of ``data``, which ``affine`` keeps instead of
-    ``data`` (see the module docstring)."""
+    ``_remat`` is ``None`` or the output's shared rebuild, a ``_Rebuild``
+    whose call returns an array with the bytes of ``data``; ``affine``
+    reads it instead of keeping ``data`` (see the module docstring)."""
 
     __slots__ = ("data", "grad", "requires_grad", "_node", "_remat")
 
@@ -191,13 +199,33 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _Rebuild:
+    """One rebuildable output, shared by all its readers (see the module
+    docstring).  A call builds the array on the first read and hands the
+    same array to every later one.  ``readers`` counts the reads still to
+    come, added when each reader is recorded; the array is dropped after
+    the last of them, and a read nobody counted builds it afresh."""
+
+    __slots__ = ("build", "readers", "array")
+
+    def __init__(self, build):
+        self.build, self.readers, self.array = build, 0, None
+
+    def __call__(self) -> np.ndarray:
+        out = self.build() if self.array is None else self.array
+        self.readers -= 1
+        self.array = out if self.readers > 0 else None
+        return out
+
+
 def _make(data, parents, vjp, remat=None) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(vjp, tuple(p._node or (p if p.requires_grad else None)
                                      for p in parents))
-        out._remat = remat
+        if remat is not None:
+            out._remat = _Rebuild(remat)
     return out
 
 
@@ -220,7 +248,8 @@ def backward(t: Tensor, seed=None):
     The sweep consumes the graph: each node drops its parents and its vjp
     before that vjp runs, so the saved arrays are freed as the sweep
     passes them, even while the caller still holds ``t`` or other
-    outputs.  Leaves keep nothing and live on; ``t.grad`` is the seed.
+    outputs.  Leaves keep nothing and live on; ``t.grad`` is the seed,
+    which must have ``t``'s shape (ones for a scalar ``t`` by default).
     A later backward that reaches a consumed node, through the same root
     or a new graph built on it, raises ``RuntimeError`` before touching
     any gradient.
@@ -229,6 +258,9 @@ def backward(t: Tensor, seed=None):
         if t.data.size != 1:
             raise ShapeError("backward without a seed needs a scalar output")
         seed = np.ones_like(t.data)
+    elif np.shape(seed) != t.shape:
+        raise ShapeError(f"backward: a seed of shape {np.shape(seed)} "
+                         f"for an output of shape {t.shape}")
     topo = []
     seen = set()
     stack = [] if t._node is None else [(t._node, False)]
@@ -470,31 +502,58 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"affine: cannot map {x.shape} through a {w.shape} weight")
     k, n = w.shape
-    shape, rb = x.shape, b.requires_grad
-    # The weight gradient reads ``x``: its rebuild when it has one, else its data.
-    xd = (x._remat or x.data) if w.requires_grad else None
-    wd = w.data if x.requires_grad else None
-    flat_out = x.data.reshape(-1, k) @ w.data
-    flat_out += b.data
-    if activation == "tanh":
-        np.tanh(flat_out, out=flat_out)
-    elif activation == "relu":
-        np.maximum(flat_out, 0.0, out=flat_out)
-    saved = None if activation == "none" else flat_out
+    shape, rb, wf, bf = x.shape, b.requires_grad, w.data, b.data
+    # Whether ``_make`` records a node: only then is a rebuild made or read.
+    record = _GRAD_ENABLED and (x.requires_grad or w.requires_grad or b.requires_grad)
+    # The weight gradient and the relu rebuild read ``x``: its rebuild when
+    # it has one, else its data.
+    xr = x._remat or x.data
+    xd = xr if w.requires_grad else None
+    wd = wf if x.requires_grad else None
+
+    def forward(xa):
+        out = xa.reshape(-1, k) @ wf
+        out += bf
+        if activation == "tanh":
+            np.tanh(out, out=out)
+        elif activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        return out
+
+    flat_out = forward(x.data)
+    saved = flat_out if activation == "tanh" else None
+    own = None  # relu: the output's rebuild, read for the mask; set once recorded
 
     def vjp(g):
         g = g.reshape(-1, n)
         if activation == "tanh":
             g = g * (1.0 - saved * saved)
         elif activation == "relu":
-            g = g * (saved > 0)
+            g = g * (own() > 0)
+        gw = None
+        if xd is not None:
+            x2 = (xd() if callable(xd) else xd).reshape(-1, k)
+            # For a wide input ``(g^T x)^T`` is the faster GEMM, with the same bytes.
+            gw = (g.T @ x2).T if k > n else x2.T @ g
         return (
             (g @ wd.T).reshape(shape) if wd is not None else None,
-            (xd() if callable(xd) else xd).reshape(-1, k).T @ g if xd is not None else None,
+            gw,
             g.sum(axis=0) if rb else None,
         )
 
-    return _make(flat_out.reshape(shape[:-1] + (n,)), (x, w, b), vjp)
+    hidden = None
+    if activation == "relu" and record:
+        def hidden():
+            return forward(xr() if callable(xr) else xr)
+
+    out = _make(flat_out.reshape(shape[:-1] + (n,)), (x, w, b), vjp, hidden)
+    if record:  # count this op's reads of the rebuilds
+        own = out._remat
+        if own is not None:
+            own.readers += 1
+        if callable(xr):
+            xr.readers += (xd is not None) + (hidden is not None)
+    return out
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -528,8 +587,11 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
     def split(a, length):
         return a.reshape(bsz, length, heads, dim // heads).transpose(0, 2, 1, 3)
 
-    def merge(a, length):
-        return a.transpose(0, 2, 1, 3).reshape(bsz, length, dim)
+    def merged(a, b, length):
+        """The per-head ``a @ b``, written straight into merged (B, length, d) layout."""
+        out = np.empty((bsz, length, heads, dim // heads))
+        np.matmul(a, b, out=out.transpose(0, 2, 1, 3))
+        return out.reshape(bsz, length, dim)
 
     qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
     p = qh @ kh.transpose(0, 1, 3, 2)
@@ -540,19 +602,19 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
 
     def vjp(g):
         gh = split(g, lq)
-        gv = merge(p.transpose(0, 1, 3, 2) @ gh, lk) if rv else None
+        gv = merged(p.transpose(0, 1, 3, 2), gh, lk) if rv else None
         gs = gh @ vh.transpose(0, 1, 3, 2)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
         return (
-            merge(gs @ kh, lq) if rq else None,
-            merge(gs.transpose(0, 1, 3, 2) @ qh, lk) if rk else None,
+            merged(gs, kh, lq) if rq else None,
+            merged(gs.transpose(0, 1, 3, 2), qh, lk) if rk else None,
             gv,
         )
 
     def context():
-        return merge(p @ vh, lq)
+        return merged(p, vh, lq)
 
     return _make(context(), (q, k, v), vjp, context)
 

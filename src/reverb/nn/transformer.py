@@ -47,6 +47,11 @@ class MultiHeadAttention:
 
 
 class FeedForward:
+    """``down(relu(up(x)))``, 4·d wide in the middle.  The hidden layer
+    is not kept for backward: ``up`` records a rebuild of it, built once
+    for ``down``'s weight gradient and read again for ``up``'s relu mask
+    (see ``nn/tensor.py``)."""
+
     def __init__(self, store: ParameterStore, name: str, dim: int, hidden: int):
         self.up = Dense(store, f"{name}.up", dim, hidden, activation="relu")
         self.down = Dense(store, f"{name}.down", hidden, dim)

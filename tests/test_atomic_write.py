@@ -2,6 +2,7 @@
 
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def test_streamed_pieces_are_joined(tmp_path):
     path = tmp_path / "t.txt"
     atomic_write(str(path), (piece for piece in ["a,", b"b\n", "θ\n"]))
     assert path.read_bytes() == "a,b\nθ\n".encode("utf-8")
+
+
+def test_checkpoint_streams_its_arrays_without_joining_them(tmp_path):
+    """Saving 8 MB of arrays allocates less than one of them: the blob is
+    written array by array, never as one joined copy."""
+    arrays = {"a": np.arange(2.0 ** 19), "b": np.full(2 ** 19, -0.5)}
+    path = tmp_path / "c.bin"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save(str(path), arrays)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays["a"].nbytes
+    assert path.read_bytes().endswith(arrays["a"].tobytes() + arrays["b"].tobytes())
 
 
 def test_failing_stream_keeps_target_and_leaves_no_temp(tmp_path):

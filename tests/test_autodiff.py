@@ -41,6 +41,19 @@ class TestScalarChain:
         with pytest.raises(ShapeError):
             T.backward(x + 1.0)
 
+    @pytest.mark.parametrize("seed_shape", [(2,), (4,), (1, 2), (2, 3)],
+                             ids=["2", "4", "1x2", "2x3"])
+    def test_seed_of_another_shape_is_rejected_before_the_sweep(self, seed_shape):
+        """(2,) and (1, 2) would broadcast into the gradients, and (4,)
+        would fail inside a vjp after the sweep had begun."""
+        x = T.Tensor(np.ones((3, 2)), requires_grad=True)
+        out = T.mul(x, 2.0)
+        with pytest.raises(ShapeError, match=r"seed of shape .* output of shape \(3, 2\)"):
+            T.backward(out, seed=np.ones(seed_shape))
+        assert x.grad is None and out.grad is None
+        T.backward(out, seed=np.ones((3, 2)))  # the graph is still whole
+        assert_allclose(x.grad, 2.0, atol=0)
+
 
 class TestElementwise:
     def test_arithmetic_with_broadcasting(self):
@@ -356,6 +369,8 @@ class TestGraphMechanics:
                     value = cell.cell_contents
                     items = value if isinstance(value, (list, tuple)) else (value,)
                     assert not any(isinstance(v, T.Tensor) for v in items), value
+                    if isinstance(value, T._Rebuild):  # a shared rebuild's build
+                        value = value.build
                     if callable(value) and hasattr(value, "__closure__"):
                         fns.append(value)
                     cells += 1

@@ -51,6 +51,13 @@ def assert_grad_check(fn, leaves, rng, tol=1e-6):
 
 
 SHAPES = {"2d": (5, 6), "3d": (3, 4, 6), "4d": (2, 3, 4, 6)}
+# (rows, k, n) of each affine with a wider input than output in the
+# benchmarked models: the paper default at 60 windows (240 and 1920
+# rows), the criterion-7 model at 25 windows (100 and 400) and at a
+# 256-window predict chunk (1024 and 4096).
+WIDE_AFFINES = (
+    [(rows, k, n) for rows in (240, 1920) for k, n in ((512, 128), (128, 20), (128, 6))]
+    + [(rows, k, n) for rows in (100, 400, 1024, 4096) for k, n in ((128, 32), (32, 8), (32, 6))])
 
 
 class TestAffine:
@@ -77,6 +84,15 @@ class TestAffine:
         T.backward(T.sum_(T.affine(x, w, b, "tanh")))
         assert x.grad is None
         assert w.grad.shape == (4, 2) and b.grad.shape == (2,)
+
+    @pytest.mark.parametrize("rows, k, n", WIDE_AFFINES)
+    def test_wide_input_weight_gradient_keeps_the_bytes(self, rows, k, n):
+        """For ``k > n`` the vjp takes the weight gradient as ``(g^T x)^T``;
+        a BLAS that rounds it apart from ``x^T g`` fails here."""
+        rng = np.random.default_rng(604)
+        x, w, b = leaf(rng, (rows, k)), leaf(rng, (k, n)), leaf(rng, (n,))
+        g = rng.normal(size=(rows, n))
+        assert T.affine(x, w, b)._node.vjp(g)[1].tobytes() == (x.data.T @ g).tobytes()
 
     def test_rejects_bad_activation_and_shapes(self):
         rng = np.random.default_rng(603)
@@ -211,13 +227,15 @@ class TestQueryProjection:
                        leaves, rng)
 
 
-# The two ops whose output an ``affine`` rebuilds in backward instead of
+# The ops whose output an ``affine`` rebuilds in backward instead of
 # keeping.
 PRODUCERS = {
     "layer_norm": lambda rng: T.layer_norm(leaf(rng, (2, 3, 6)), leaf(rng, (6,)),
                                            leaf(rng, (6,)), 1e-5),
     "attention": lambda rng: T.attention(leaf(rng, (2, 5, 6)), leaf(rng, (2, 4, 6)),
                                          leaf(rng, (2, 4, 6)), 2, 0.5),
+    "relu": lambda rng: T.affine(leaf(rng, (2, 3, 4)), leaf(rng, (4, 6)), leaf(rng, (6,)),
+                                 "relu"),
 }
 
 
@@ -256,3 +274,25 @@ class TestRebuiltInputs:
         for other in (T.Tensor(rng.normal(size=(3, 4))), leaf(rng, (3, 4))):
             t = T.mul(leaf(rng, (3, 4)), other)
             assert t._node is not None and t._remat is None
+
+    def test_relu_reads_its_mask_from_the_shared_rebuild(self):
+        """A relu ``affine`` keeps neither its output nor a mask: its vjp and
+        the weight gradient of the ``affine`` it feeds share one build,
+        dropped after both, and the gradients keep the bytes of a mask
+        taken from the forward output."""
+        rng = np.random.default_rng(644)
+        x, w, b = leaf(rng, (2, 3, 4)), leaf(rng, (4, 6)), leaf(rng, (6,))
+        h = T.affine(x, w, b, "relu")
+        down = T.affine(h, leaf(rng, (6, 5)), leaf(rng, (5,)))
+        rebuild, builds = h._remat, []
+        build = rebuild.build
+        rebuild.build = lambda: builds.append(1) or build()
+        assert rebuild.readers == 2
+        down._node.vjp(rng.normal(size=(2, 3, 5)))
+        gh = rng.normal(size=(2, 3, 6))
+        got = h._node.vjp(gh)
+        assert len(builds) == 1 and rebuild.readers == 0 and rebuild.array is None
+        masked = gh.reshape(-1, 6) * (h.data.reshape(-1, 6) > 0)
+        want = [(masked @ w.data.T).reshape(x.shape), x.data.reshape(-1, 4).T @ masked,
+                masked.sum(axis=0)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

@@ -316,15 +316,23 @@ class TestLossGraph:
             assert np.all(np.isfinite(p.grad)), name
 
     def test_backward_consumes_the_graph_the_caller_still_holds(self, monkeypatch):
-        saved = []
-        affine = T.affine
+        saved, relu = [], []
+        attention, affine = T.attention, T.affine
+
+        def recording_attention(*args):
+            out = attention(*args)
+            # the probabilities, as the attention vjp keeps them
+            cells = dict(zip(out._node.vjp.__code__.co_freevars, out._node.vjp.__closure__))
+            saved.append(weakref.ref(cells["p"].cell_contents))
+            return out
 
         def recording_affine(x, w, b, activation="none"):
             out = affine(x, w, b, activation)
-            if activation == "relu":  # the vjp keeps the output's base array
-                saved.append(weakref.ref(out.data.base))
+            if activation == "relu":  # rebuilt in backward, so not kept
+                relu.append(weakref.ref(out.data.base))
             return out
 
+        monkeypatch.setattr(T, "attention", recording_attention)
         monkeypatch.setattr(T, "affine", recording_affine)
         model = ReverbPredictor(toy_config(), seed=36)
         batch = model.encode([make_sample(seed=52, n_neighbors=2)])
@@ -337,6 +345,7 @@ class TestLossGraph:
                 stack.extend(p for p in node.parents if isinstance(p, T._Node))
         pred_bytes = pred.data.tobytes()
         assert saved and all(ref() is not None for ref in saved)
+        assert relu and all(ref() is None for ref in relu)
         T.backward(loss)
         assert all(node.parents == () for node in nodes.values())
         assert all(p._node is None for _, p in model.store.items())
@@ -345,9 +354,9 @@ class TestLossGraph:
         assert pred.data.tobytes() == pred_bytes
 
     def test_arrays_no_vjp_reads_are_freed_before_backward(self, monkeypatch):
-        """Residual sums and the outputs of ``none``-activation projections
-        die in the forward, while ``loss``, ``pred`` and ``info`` are held;
-        the relu outputs, which two vjps read, stay alive."""
+        """Residual sums, the outputs of ``none``-activation projections
+        and the relu outputs die in the forward, while ``loss``, ``pred``
+        and ``info`` are held; the relu outputs are rebuilt in backward."""
         residual, projected, relu, depth = [], [], [], [0]
         add, affine = T.add, T.affine
 
@@ -390,13 +399,13 @@ class TestLossGraph:
         assert residual and projected and relu
         assert all(ref() is None for ref in residual)
         assert all(ref() is None for ref in projected)
-        assert all(ref() is not None for ref in relu)
+        assert all(ref() is None for ref in relu)
 
     def test_inputs_affine_rebuilds_are_freed_before_backward(self, monkeypatch):
-        """The ``ln_ff`` outputs and the attention contexts die in the
-        forward, while ``loss``, ``pred`` and ``info`` are held: the
-        ``affine`` each feeds rebuilds it in backward.  The relu outputs
-        and the attention probabilities, which vjps read, stay."""
+        """The ``ln_ff`` outputs, the attention contexts and the relu
+        outputs die in the forward, while ``loss``, ``pred`` and ``info``
+        are held: they are rebuilt in backward.  The attention
+        probabilities, which a vjp reads, stay."""
         ln_ff, contexts, relu, probs = [], [], [], []
         attention, affine = T.attention, T.affine
 
@@ -427,10 +436,49 @@ class TestLossGraph:
         batch = model.encode([make_sample(seed=54, n_neighbors=2)])
         loss, pred, info = model.loss(batch, model.zero_noise())  # held, no backward yet
         assert ln_ff and contexts and relu and probs
-        assert all(ref() is None for ref in ln_ff + contexts)
-        assert all(ref() is not None for ref in relu + probs)
+        assert all(ref() is None for ref in ln_ff + contexts + relu)
+        assert all(ref() is not None for ref in probs)
         T.backward(loss)
         assert all(np.isfinite(p.grad).all() for _, p in model.store.items())
+
+    def test_one_step_builds_each_rebuild_at_most_once(self, monkeypatch):
+        """The readers of a rebuildable output share one build, dropped
+        after the last of them: the q/k/v weight gradients read one
+        layer-norm rebuild, and each feed-forward hidden layer is built
+        once, for ``down``'s weight gradient and ``up``'s mask."""
+        rebuilds = {"layer_norm": [], "attention": [], "affine": []}
+
+        def counting(kind, op):
+            def wrapped(*args):
+                out = op(*args)
+                if out._remat is not None:
+                    rebuild, build, calls = out._remat, out._remat.build, [0]
+
+                    def counted():
+                        calls[0] += 1
+                        return build()
+
+                    rebuild.build = counted
+                    rebuilds[kind].append((rebuild, calls))
+                return out
+            return wrapped
+
+        for kind in rebuilds:
+            monkeypatch.setattr(T, kind, counting(kind, getattr(T, kind)))
+        cfg = toy_config(tf_layers=2)
+        model = ReverbPredictor(cfg, seed=40)
+        batch = model.encode([make_sample(seed=s, n_neighbors=s % 3) for s in (58, 59)])
+        loss, _, _ = model.loss(batch, model.zero_noise())
+        T.backward(loss)
+        layers = len(model.branches) * cfg.tf_layers  # encoder layers; as many decoder layers
+        builds = {kind: [calls[0] for _, calls in found] for kind, found in rebuilds.items()}
+        assert builds["affine"] == [1] * (2 * layers)  # one hidden layer per feed-forward layer
+        assert builds["attention"] == [1] * (3 * layers)  # self, self and cross
+        # Each ``ln_enc`` output feeds no ``affine``, so it is never built.
+        assert sorted(builds["layer_norm"]) == [0] * len(model.branches) + [1] * (
+            len(builds["layer_norm"]) - len(model.branches))
+        for found in rebuilds.values():
+            assert all(r.readers == 0 and r.array is None for r, _ in found)
 
     def test_no_array_of_the_field_shape_is_made(self, monkeypatch):
         """The rehearsal is a contraction: no op output, vjp gradient or
