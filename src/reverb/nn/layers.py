@@ -68,7 +68,7 @@ class ParameterStore:
         if self.values is None:
             params = self._params.values()
             self.values = np.concatenate([p.data.ravel() for p in params] or [np.zeros(0)])
-            self.grads = np.zeros_like(self.values)
+            self.grads = np.zeros(self.values.size)  # pages mapped on first write
             for p, data, grad in zip(params, self._views(self.values), self._views(self.grads)):
                 p.data, p.grad = data, grad
         return self.values
@@ -92,9 +92,10 @@ class ParameterStore:
             raise TrainingError(f"{what} {name!r} contains NaN or Inf")
 
     def state_arrays(self, vector=None, prefix: str = "") -> dict:
-        """Copies of ``vector``'s slices (default: ``values``), keyed ``prefix + name``."""
+        """Views of ``vector``'s slices (default: ``values``), keyed
+        ``prefix + name``: read them before the vector changes, or copy."""
         vector = self.pack() if vector is None else vector
-        return {prefix + n: v.copy() for n, v in zip(self._params, self._views(vector))}
+        return {prefix + n: v for n, v in zip(self._params, self._views(vector))}
 
     def load_arrays(self, arrays: dict, vector=None, prefix: str = ""):
         """Fill ``vector`` in place from ``arrays[prefix + name]`` (other keys

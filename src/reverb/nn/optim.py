@@ -20,8 +20,10 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = np.zeros_like(store.pack())
-        self.v = np.zeros_like(self.m)
+        # ``np.zeros`` maps its pages on first write, so state no step has
+        # touched yet costs no memory.
+        self.m = np.zeros(store.pack().size)
+        self.v = np.zeros(self.m.size)
         self._scratch = np.empty((2, min(CHUNK, self.m.size)))
 
     def step(self):

@@ -33,7 +33,10 @@ and carry a vjp.  What each vjp keeps:
   rebuild, below), ``w`` for the input gradient, and the output only
   for ``tanh``; a ``relu`` keeps its output's rebuild instead;
 - ``attention(q, k, v, heads, scale)``, one node for multi-head scaled
-  dot-product attention: the probabilities and the q/k/v head views.
+  dot-product attention: the probabilities and the q/k/v head views
+  while the probabilities are under 1 MiB; from that size on, each
+  softmax row's max and sum, ``(B, H, L_q, 1)`` arrays, and rebuilds of
+  the rest (below).
 
 The composites have no vjp; their gradients come from the primitives
 they are built of, which keep what is listed above: ``neg`` is
@@ -49,20 +52,41 @@ The output of ``layer_norm`` is ``x̂ * γ + β``, that of ``attention``
 the merged ``p @ v`` heads, and that of a relu ``affine`` is
 ``relu(x' @ w + b)``, where ``x'`` is its input's rebuild or, without
 one, its input's data.  Each such output has one shared rebuild, a
-``_Rebuild`` in its ``_remat``; only ``affine`` reads it: the weight
-gradient of an ``affine`` it feeds, a relu's rebuild of its own
-output, and a relu's vjp, for its mask.  Each reader is counted when
-its op records a node.  The first read in backward builds the array,
-later readers get the same array, and the last drops it.  ``_remat``
-is set only when the op records a node, so under ``no_grad`` nothing
-is kept and no rebuild is made.  These outputs are freed in the
-forward, then built at most once each in backward: the layer-norm
-rebuild is one multiply-add, the attention rebuild redoes the batched
-``p @ v`` GEMM, and a feed-forward hidden layer (B·L × 4d, the widest
-array of a transformer step) is rebuilt by its ``up`` GEMM for
+``_Rebuild`` in its ``_remat``, read by ``affine`` (the weight gradient
+of an ``affine`` it feeds, a relu's rebuild of its own output, and a
+relu's vjp, for its mask) and by a large ``attention``.  Each reader is
+counted when its op records a node; a rebuild that reads other rebuilds
+counts its reads of them when it gets its first reader.  The first read
+in backward builds the array, later readers get the same array, and the
+last drops it.  ``_remat`` is set only when the op records a node, so
+under ``no_grad`` nothing is kept and no rebuild is made.  These outputs
+are freed in the forward, then built at most once each in backward: the
+layer-norm rebuild is one multiply-add, the attention rebuild redoes the
+batched ``p @ v`` GEMM, and a feed-forward hidden layer (B·L × 4d, the
+widest array of a transformer step) is rebuilt by its ``up`` GEMM for
 ``down``'s weight gradient and kept until ``up``'s vjp has its mask.
-The arrays behind a rebuild must not change between the forward and
-the backward, as for every array a vjp keeps.
+
+A large ``attention``, one whose probabilities take at least 1 MiB
+(``_ATTENTION_REBUILD_BYTES``), keeps neither them nor its q/k/v head
+views.  It reads q, k and v through rebuilds: an operand's shared
+rebuild; for the output of a ``none`` ``affine``, which records the
+``(build, sources)`` of one in ``_recipe``, a rebuild through that
+``affine``'s forward from its input's rebuild or data; else one that
+keeps the operand's data.  The probabilities are rebuilt as
+``exp(q kᵀ·scale − max) / sum`` with the kept row max and sum, by the
+operations of the forward, so they keep their bytes.  The context
+rebuild and the vjp share one build of each of p, q, k and v.  In the
+paper-default social transformer at 60 windows the four self-attentions
+have 3.75 MiB probabilities each, and their probabilities and q/k/v
+views held 37.5 MiB of the tape; rebuilding them costs three
+projection GEMMs, one score GEMM and one ``exp`` per attention.  Small
+attentions (the criterion-7 model's are at most 200 kB) keep their
+arrays: there a rebuild costs time and saves little memory.  Rebuilding
+every attention made a criterion-7-shaped training step about 6% slower
+and a paper-default one about 11% (in-process A/B, one core).  The size
+is a property of the input, so the same call always takes the same
+path.  The arrays behind a rebuild must not change between the forward
+and the backward, as for every array a vjp keeps.
 
 ``segment_mean`` and the vjp of ``index_select`` add rows by id with one
 ``np.bincount`` (``_scatter_add_rows``), in row order from +0.0 as
@@ -127,10 +151,13 @@ class Tensor:
     it (``None`` for a leaf or a constant).  Only a leaf that requires
     grad keeps a gradient; ``backward`` adds into its ``grad`` in place.
     ``_remat`` is ``None`` or the output's shared rebuild, a ``_Rebuild``
-    whose call returns an array with the bytes of ``data``; ``affine``
-    reads it instead of keeping ``data`` (see the module docstring)."""
+    whose call returns an array with the bytes of ``data``; ``affine`` and
+    a large ``attention`` read it instead of keeping ``data``.
+    ``_recipe`` is ``None`` or the ``(build, sources)`` of a rebuild that
+    a large ``attention`` makes for a recorded ``none`` ``affine`` output
+    (see the module docstring)."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "_remat")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_remat", "_recipe")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -138,6 +165,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._node = None
         self._remat = None
+        self._recipe = None
 
     @property
     def shape(self):
@@ -203,13 +231,23 @@ class _Rebuild:
     """One rebuildable output, shared by all its readers (see the module
     docstring).  A call builds the array on the first read and hands the
     same array to every later one.  ``readers`` counts the reads still to
-    come, added when each reader is recorded; the array is dropped after
-    the last of them, and a read nobody counted builds it afresh."""
+    come, added by ``count`` when each reader is recorded; the array is
+    dropped after the last of them, and a read nobody counted builds it
+    afresh.  ``sources`` are the rebuilds that ``build`` reads, once each:
+    the first ``count`` counts those reads, so a rebuild that nothing
+    reads holds none of its sources."""
 
-    __slots__ = ("build", "readers", "array")
+    __slots__ = ("build", "readers", "array", "sources")
 
-    def __init__(self, build):
-        self.build, self.readers, self.array = build, 0, None
+    def __init__(self, build, sources=()):
+        self.build, self.readers, self.array, self.sources = build, 0, None, sources
+
+    def count(self):
+        """Count one more read of this rebuild."""
+        sources, self.sources = self.sources, ()
+        for source in sources:
+            source.count()
+        self.readers += 1
 
     def __call__(self) -> np.ndarray:
         out = self.build() if self.array is None else self.array
@@ -520,6 +558,9 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
             np.maximum(out, 0.0, out=out)
         return out
 
+    def rebuild():  # this output's bytes, from ``x``'s rebuild or data
+        return forward(xr() if callable(xr) else xr)
+
     flat_out = forward(x.data)
     saved = flat_out if activation == "tanh" else None
     own = None  # relu: the output's rebuild, read for the mask; set once recorded
@@ -541,18 +582,18 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
             g.sum(axis=0) if rb else None,
         )
 
-    hidden = None
-    if activation == "relu" and record:
-        def hidden():
-            return forward(xr() if callable(xr) else xr)
-
-    out = _make(flat_out.reshape(shape[:-1] + (n,)), (x, w, b), vjp, hidden)
+    out = _make(flat_out.reshape(shape[:-1] + (n,)), (x, w, b), vjp,
+                rebuild if activation == "relu" else None)
     if record:  # count this op's reads of the rebuilds
+        sources = (xr,) if callable(xr) else ()
         own = out._remat
         if own is not None:
-            own.readers += 1
-        if callable(xr):
-            xr.readers += (xd is not None) + (hidden is not None)
+            own.sources = sources
+            own.count()
+        if xd is not None and sources:
+            xr.count()
+        if activation == "none":  # nothing keeps this output
+            out._recipe = (rebuild, sources)
     return out
 
 
@@ -569,6 +610,22 @@ def _row_max(a: np.ndarray) -> np.ndarray:
             np.maximum(half[..., :1], m[..., n - 1:], out=half[..., :1])
         m = half
     return a.copy() if m is a else m
+
+
+# The size from which ``attention`` keeps neither its probabilities nor
+# its q/k/v head views, but rebuilds them in backward.
+_ATTENTION_REBUILD_BYTES = 1 << 20
+
+
+def _reread(a: Tensor) -> _Rebuild:
+    """The rebuild through which a large ``attention`` reads ``a``: its
+    shared rebuild, one made from its recipe, or one that keeps its data."""
+    if a._remat is not None:
+        return a._remat
+    if a._recipe is not None:
+        return _Rebuild(*a._recipe)
+    data = a.data
+    return _Rebuild(lambda: data)
 
 
 def attention(q, k, v, heads: int, scale: float) -> Tensor:
@@ -593,14 +650,51 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
         np.matmul(a, b, out=out.transpose(0, 2, 1, 3))
         return out.reshape(bsz, length, dim)
 
-    qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
-    p = qh @ kh.transpose(0, 1, 3, 2)
-    p *= scale
-    p -= _row_max(p)
+    def scores(qa, ka):
+        s = split(qa, lq) @ split(ka, lk).transpose(0, 1, 3, 2)
+        s *= scale
+        return s
+
+    p = scores(q.data, k.data)
+    row_max = _row_max(p)
+    p -= row_max
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    row_sum = p.sum(axis=-1, keepdims=True)
+    p /= row_sum
+    out_data = merged(p, split(v.data, lk), lq)
+    sources = ()
+    if _GRAD_ENABLED and (rq or rk or rv) and p.nbytes >= _ATTENTION_REBUILD_BYTES:
+        # Keep the row max and sum; rebuild q, k, v and p in backward.
+        qr, kr, vr = _reread(q), _reread(k), _reread(v)
+
+        def probabilities():
+            p = scores(qr(), kr())
+            p -= row_max
+            np.exp(p, out=p)
+            p /= row_sum
+            return p
+
+        pr = _Rebuild(probabilities, (qr, kr))
+        for r in (pr, qr, kr, vr):  # the vjp's reads
+            r.count()
+        sources = (pr, vr)  # the context rebuild's reads
+
+        def arrays():
+            return pr(), split(qr(), lq), split(kr(), lk), split(vr(), lk)
+
+        def context():
+            return merged(pr(), split(vr(), lk), lq)
+    else:
+        qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
+
+        def arrays():
+            return p, qh, kh, vh
+
+        def context():
+            return merged(p, vh, lq)
 
     def vjp(g):
+        p, qh, kh, vh = arrays()
         gh = split(g, lq)
         gv = merged(p.transpose(0, 1, 3, 2), gh, lk) if rv else None
         gs = gh @ vh.transpose(0, 1, 3, 2)
@@ -613,10 +707,10 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
             gv,
         )
 
-    def context():
-        return merged(p, vh, lq)
-
-    return _make(context(), (q, k, v), vjp, context)
+    out = _make(out_data, (q, k, v), vjp, context)
+    if sources:
+        out._remat.sources = sources
+    return out
 
 
 def _scatter_add_rows(values, ids, num_rows: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 oracles (``oracles.py``): forward and gradients at rtol 1e-12, plus a
 finite-difference check of each fused op."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -296,3 +298,109 @@ class TestRebuiltInputs:
         want = [(masked @ w.data.T).reshape(x.shape), x.data.reshape(-1, 4).T @ masked,
                 masked.sum(axis=0)]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+# (batch, query rows, key rows, dim, heads): the projections of a layer
+# norm, onto themselves ("self") or onto a leaf memory ("cross"), which
+# take the rebuild path only with its size patched to 0; and leaves whose
+# (16, 8, 32, 32) probabilities are 1 MiB ("size"), the paper-default
+# self-attention at 16 windows.
+LARGE = {"self": (2, 5, 5, 6, 2), "cross": (2, 5, 4, 6, 2), "size": (16, 32, 32, 128, 8)}
+REBUILD_BYTES = T._ATTENTION_REBUILD_BYTES  # the size rule, before any test patches it
+
+
+def attention_operands(case, rng):
+    """q, k and v of ``case``, built as ``MultiHeadAttention`` builds them
+    (the leaves of "size" stand for any operand without a rebuild)."""
+    bsz, lq, lk, dim, heads = LARGE[case]
+    if case == "size":
+        return [leaf(rng, (bsz, n, dim)) for n in (lq, lk, lk)]
+    x = T.layer_norm(leaf(rng, (bsz, lq, dim)), leaf(rng, (dim,)), leaf(rng, (dim,)), 1e-5)
+    memory = x if case == "self" else leaf(rng, (bsz, lk, dim))
+    return [T.affine(a, leaf(rng, (dim, dim)), leaf(rng, (dim,)))
+            for a in (x, memory, memory)]
+
+
+class TestAttentionRebuild:
+    def forward_context_and_vjp(self, case, limit, monkeypatch):
+        """The forward, the context rebuild read as a downstream ``affine``
+        reads it, and the vjp, with the rebuild size at ``limit``."""
+        monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", limit)
+        rng = np.random.default_rng(650)
+        bsz, lq, _, dim, heads = LARGE[case]
+        q, k, v = attention_operands(case, rng)
+        out = T.attention(q, k, v, heads, 1.0 / np.sqrt(dim // heads))
+        out._remat.count()
+        context = out._remat()
+        return [out.data, context, *out._node.vjp(rng.normal(size=(bsz, lq, dim)))]
+
+    @pytest.mark.parametrize("case", list(LARGE))
+    def test_rebuilt_path_keeps_the_bytes(self, case, monkeypatch, rebuilds):
+        """Forward, context rebuild and vjp byte for byte against the path
+        that keeps p and the q/k/v views; the rebuilds the large path
+        reads are built once each and end with no reader and no array."""
+        kept = self.forward_context_and_vjp(case, np.inf, monkeypatch)
+        assert {r.kind for r in rebuilds} <= {"layer_norm.<locals>.output",
+                                              "attention.<locals>.context"}
+        del rebuilds[:]
+        rebuilt = self.forward_context_and_vjp(
+            case, REBUILD_BYTES if case == "size" else 0, monkeypatch)
+        assert [a.tobytes() for a in rebuilt] == [a.tobytes() for a in kept]
+        assert rebuilt[1].tobytes() == rebuilt[0].tobytes()
+        read = [r for r in rebuilds if r.kind != "layer_norm.<locals>.output"]
+        kinds = sorted(r.kind for r in read)
+        operand = "_reread.<locals>.<lambda>" if case == "size" else "affine.<locals>.rebuild"
+        assert kinds == sorted([operand] * 3 + ["attention.<locals>.context",
+                                                "attention.<locals>.probabilities"])
+        assert all(r.builds == 1 and r.readers == 0 and r.array is None for r in read)
+
+    @pytest.mark.parametrize("case", list(ATTENTION))
+    def test_rebuilt_path_matches_the_oracle(self, case, monkeypatch):
+        monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", 0)
+        bsz, lq, lk, dim, heads = ATTENTION[case]
+        rng = np.random.default_rng(651)
+        leaves = {"q": leaf(rng, (bsz, lq, dim)), "k": leaf(rng, (bsz, lk, dim)),
+                  "v": leaf(rng, (bsz, lk, dim))}
+        args = (leaves["q"], leaves["k"], leaves["v"], heads, 1.0 / np.sqrt(dim // heads))
+        assert_matches(lambda: T.attention(*args), lambda: oracles.attention(*args),
+                       leaves, rng)
+        assert_grad_check(lambda: T.attention(*args), leaves, rng)
+
+    def test_keeps_neither_probabilities_nor_projections(self, monkeypatch):
+        """Above the size the projections die in the forward, and what the
+        vjp reaches holds the (B, H, L_q, 1) row max and sum, not the
+        (B, H, L_q, L_k) probabilities."""
+        monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", 0)
+        q, k, v = attention_operands("self", np.random.default_rng(652))
+        out = T.attention(q, k, v, 2, 0.5)
+        refs = [weakref.ref(a.data.base) for a in (q, k, v)]
+        del q, k, v
+        assert all(ref() is None for ref in refs)
+        shapes, fns = [], [out._node.vjp]
+        while fns:
+            for cell in fns.pop().__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, T._Rebuild):
+                    value = value.build
+                if isinstance(value, np.ndarray):
+                    shapes.append(value.shape)
+                elif callable(value) and hasattr(value, "__closure__"):
+                    fns.append(value)
+        assert (2, 2, 5, 1) in shapes and (2, 2, 5, 5) not in shapes
+
+    def test_small_or_untaped_attention_makes_no_rebuild(self, monkeypatch, rebuilds):
+        """Below the size the only rebuilds are the layer norm's and the
+        context's, as before; under ``no_grad`` there are none at all."""
+        rng = np.random.default_rng(654)
+        q, k, v = attention_operands("self", rng)
+        T.attention(q, k, v, 2, 0.5)
+        assert [r.kind for r in rebuilds] == ["layer_norm.<locals>.output",
+                                              "attention.<locals>.context"]
+        del rebuilds[:]
+        monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", 0)
+        with T.no_grad():
+            q, k, v = attention_operands("size", rng)
+            T.attention(q, k, v, 8, 0.25)
+            q, k, v = attention_operands("self", rng)
+            out = T.attention(q, k, v, 2, 0.5)
+        assert rebuilds == [] and out._remat is None and q._recipe is None

@@ -49,6 +49,14 @@ def make_sample(seed=0, t_h=4, t_f=6, n_neighbors=2, dt=0.4):
     )
 
 
+def kept_probabilities(out):
+    """The probabilities that the vjp of an ``attention`` below the
+    rebuild size keeps: the first of the arrays it reads."""
+    vjp = out._node.vjp
+    cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
+    return cells["arrays"].cell_contents()[0]
+
+
 def run_forward(model, samples, noise=None):
     """(pred (B, K_g, t_f, m), info) of the batched forward, no tape."""
     noise = model.zero_noise() if noise is None else noise
@@ -321,9 +329,7 @@ class TestLossGraph:
 
         def recording_attention(*args):
             out = attention(*args)
-            # the probabilities, as the attention vjp keeps them
-            cells = dict(zip(out._node.vjp.__code__.co_freevars, out._node.vjp.__closure__))
-            saved.append(weakref.ref(cells["p"].cell_contents))
+            saved.append(weakref.ref(kept_probabilities(out)))
             return out
 
         def recording_affine(x, w, b, activation="none"):
@@ -405,16 +411,14 @@ class TestLossGraph:
         """The ``ln_ff`` outputs, the attention contexts and the relu
         outputs die in the forward, while ``loss``, ``pred`` and ``info``
         are held: they are rebuilt in backward.  The attention
-        probabilities, which a vjp reads, stay."""
+        probabilities, which a vjp reads below the rebuild size, stay."""
         ln_ff, contexts, relu, probs = [], [], [], []
         attention, affine = T.attention, T.affine
 
         def recording_attention(*args):
             out = attention(*args)
             contexts.append(weakref.ref(out.data))
-            # the probabilities, as the attention vjp keeps them
-            cells = dict(zip(out._node.vjp.__code__.co_freevars, out._node.vjp.__closure__))
-            probs.append(weakref.ref(cells["p"].cell_contents))
+            probs.append(weakref.ref(kept_probabilities(out)))
             return out
 
         def recording_affine(x, w, b, activation="none"):
@@ -479,6 +483,30 @@ class TestLossGraph:
             len(builds["layer_norm"]) - len(model.branches))
         for found in rebuilds.values():
             assert all(r.readers == 0 and r.array is None for r, _ in found)
+
+    def test_large_attentions_rebuild_q_k_v_and_p_once_each(self, monkeypatch, rebuilds):
+        """At the paper default, 16 windows give the social branch's four
+        self-attentions 1 MiB probabilities.  One step rebuilds each of
+        their q, k, v and p once, shared by the context rebuild and the
+        vjp; every rebuild ends with no reader left and no array held;
+        the loss and every gradient keep the bytes of the kept path."""
+        operands, reread = [], T._reread
+        monkeypatch.setattr(T, "_reread", lambda a: operands.append(reread(a)) or operands[-1])
+        samples = [make_sample(seed=s, t_h=8, t_f=12, n_neighbors=1) for s in range(60, 76)]
+
+        def step():
+            model = ReverbPredictor(ModelConfig(), seed=41)
+            loss, _, _ = model.loss(model.encode(samples), model.zero_noise())
+            T.backward(loss)
+            return [loss.data.tobytes()] + [p.grad.tobytes() for _, p in model.store.items()]
+
+        rebuilt = step()
+        probs = [r for r in rebuilds if r.kind == "attention.<locals>.probabilities"]
+        assert [r.builds for r in probs] == [1] * 4
+        assert [r.builds for r in operands] == [1] * 12  # q, k and v of each
+        assert all(r.builds <= 1 and r.readers == 0 and r.array is None for r in rebuilds)
+        monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", np.inf)
+        assert step() == rebuilt
 
     def test_no_array_of_the_field_shape_is_made(self, monkeypatch):
         """The rehearsal is a contraction: no op output, vjp gradient or

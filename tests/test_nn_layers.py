@@ -144,7 +144,7 @@ class TestParameterStore:
         assert store.values is values
         assert np.shares_memory(w.data, values) and np.shares_memory(b.data, values)
         assert_array_equal(values, [2.0] * 6 + [1.0, 2.0, 3.0])
-        assert not np.shares_memory(store.state_arrays()["w"], values)
+        assert np.shares_memory(store.state_arrays()["w"], values)  # views, not copies
         state = store.state_arrays(np.arange(9.0), prefix="x.")
         assert_array_equal(state["x.b"], [6.0, 7.0, 8.0])
 

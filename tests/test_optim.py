@@ -1,6 +1,8 @@
 """Adam update rule and checkpoint serialization."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,29 @@ class TestAdam:
         p.grad[...] = 0.0
         opt.step()
         assert_allclose(p.data, 1.0, atol=0)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS")
+    def test_zero_state_stays_unmapped_until_written(self):
+        """``pack``'s gradient vector and Adam's m and v come from
+        ``np.zeros``, whose pages are mapped on first write: at the paper
+        default (16 MB per vector) ``pack`` adds about one vector to the
+        resident size and ``Adam`` almost nothing.  A fresh interpreter,
+        so that no freed heap of earlier tests hides the growth."""
+        script = (
+            "from reverb.model import ModelConfig, ReverbPredictor\n"
+            "from reverb.nn.optim import Adam\n"
+            "def rss():\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith('VmRSS'):\n"
+            "            return int(line.split()[1]) * 1024\n"
+            "store = ReverbPredictor(ModelConfig(), seed=1).store\n"
+            "a = rss(); store.pack(); b = rss(); Adam(store); c = rss()\n"
+            "print(store.values.nbytes, b - a, c - b)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        size, packed, adam = map(int, out.split())
+        assert packed < 1.5 * size and adam < 0.5 * size
 
     def test_missing_gradient_counts_as_zero(self):
         store = ParameterStore(seed=0)
