@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ class GradCheckReport:
     worst_param: str = ""
     worst_index: tuple = ()
     n_checked: int = 0
-    per_param: dict = field(default_factory=dict)
 
     def passed(self, tol: float) -> bool:
         return self.max_rel_error <= tol
@@ -64,7 +63,6 @@ def grad_check(fn, params, h_scale: float = 1e-5, floor: float = 1e-5,
             coords = np.sort(rng.choice(n, size=max_per_param, replace=False))
         else:
             coords = np.arange(n)
-        worst = 0.0
         ana_flat = analytic[name].reshape(-1)
         for i in coords:
             orig = flat[i]
@@ -78,11 +76,8 @@ def grad_check(fn, params, h_scale: float = 1e-5, floor: float = 1e-5,
             numeric = (f_plus - f_minus) / (2.0 * h)
             rel = abs(ana_flat[i] - numeric) / max(abs(ana_flat[i]), abs(numeric), floor)
             report.n_checked += 1
-            if rel > worst:
-                worst = rel
             if rel > report.max_rel_error:
                 report.max_rel_error = rel
                 report.worst_param = name
                 report.worst_index = np.unravel_index(int(i), p.data.shape)
-        report.per_param[name] = worst
     return report

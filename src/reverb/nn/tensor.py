@@ -29,14 +29,14 @@ and carry a vjp.  What each vjp keeps:
 - ``layer_norm(x, gamma, beta, eps)``, one node for the normalisation
   of the last axis: x̂, σ = sqrt(var + eps) and γ;
 - ``affine(x, w, b, activation)``, one node and one flat 2-d GEMM for
-  ``act(x @ w + b)``: ``x`` for the weight gradient (or ``x``'s
-  rebuild, below), ``w`` for the input gradient, and the output only
-  for ``tanh``; a ``relu`` keeps its output's rebuild instead;
+  ``act(x @ w + b)``: ``x`` for the weight gradient (its rebuild when it
+  has one, below), ``w`` for the input gradient, and the output only
+  for ``tanh``; a ``relu`` reads its mask from its output's rebuild;
 - ``attention(q, k, v, heads, scale)``, one node for multi-head scaled
-  dot-product attention: the probabilities and the q/k/v head views
-  while the probabilities are under 1 MiB; from that size on, each
-  softmax row's max and sum, ``(B, H, L_q, 1)`` arrays, and rebuilds of
-  the rest (below).
+  dot-product attention: rebuilds of its probabilities and of q, k and
+  v, which keep the arrays while the probabilities are under 1 MiB;
+  from that size on, each softmax row's max and sum, ``(B, H, L_q, 1)``
+  arrays, from which the rebuilds recompute the rest (below).
 
 The composites have no vjp; their gradients come from the primitives
 they are built of, which keep what is listed above: ``neg`` is
@@ -46,47 +46,42 @@ records no node), ``relu`` is ``mul(a, a > 0)``, ``mean_`` is
 (the max a constant) and ``take_per_row`` is ``index_select`` of the
 flattened ``a`` at ``arange(B) * K + idx``.
 
-Selective recomputation: three outputs can be rebuilt, byte for byte,
-through the code of their forward from arrays the tape holds anyway.
-The output of ``layer_norm`` is ``x̂ * γ + β``, that of ``attention``
-the merged ``p @ v`` heads, and that of a relu ``affine`` is
-``relu(x' @ w + b)``, where ``x'`` is its input's rebuild or, without
-one, its input's data.  Each such output has one shared rebuild, a
-``_Rebuild`` in its ``_remat``, read by ``affine`` (the weight gradient
-of an ``affine`` it feeds, a relu's rebuild of its own output, and a
-relu's vjp, for its mask) and by a large ``attention``.  Each reader is
-counted when its op records a node; a rebuild that reads other rebuilds
-counts its reads of them when it gets its first reader.  The first read
-in backward builds the array, later readers get the same array, and the
+Selective recomputation: each fused op gives every output its vjp
+does not keep a shared rebuild, a ``_Rebuild`` in the output's
+``_remat`` that ``_make`` creates with its build and its ``sources``,
+the rebuilds that build reads.  A rebuild makes its output again, byte
+for byte, through the code of the forward from arrays the tape holds
+anyway: ``x̂ * γ + β`` for ``layer_norm``, ``act(x' @ w + b)`` for a
+``none`` or ``relu`` ``affine``, where ``x'`` is its input's rebuild
+or, without one, its input's data, and the merged ``p @ v`` heads for
+``attention``.  The readers are ``affine`` (the weight gradient of an
+``affine`` an output feeds, a relu's rebuild of its own output, and a
+relu's vjp, for its mask) and a large ``attention``.  Each reader is
+counted when its op records a node, and a rebuild counts its reads of
+its sources when it gets its first reader, so a rebuild that nothing
+reads holds none of them and is never built.  The first read in
+backward builds the array, later readers get the same array, and the
 last drops it.  ``_remat`` is set only when the op records a node, so
-under ``no_grad`` nothing is kept and no rebuild is made.  These outputs
+under ``no_grad`` nothing is kept and no rebuild is made.  The outputs
 are freed in the forward, then built at most once each in backward: the
 layer-norm rebuild is one multiply-add, the attention rebuild redoes the
 batched ``p @ v`` GEMM, and a feed-forward hidden layer (B·L × 4d, the
 widest array of a transformer step) is rebuilt by its ``up`` GEMM for
 ``down``'s weight gradient and kept until ``up``'s vjp has its mask.
+The arrays behind a rebuild must not change between the forward and the
+backward, as for every array a vjp keeps.
 
-A large ``attention``, one whose probabilities take at least 1 MiB
-(``_ATTENTION_REBUILD_BYTES``), keeps neither them nor its q/k/v head
-views.  It reads q, k and v through rebuilds: an operand's shared
-rebuild; for the output of a ``none`` ``affine``, which records the
-``(build, sources)`` of one in ``_recipe``, a rebuild through that
-``affine``'s forward from its input's rebuild or data; else one that
-keeps the operand's data.  The probabilities are rebuilt as
-``exp(q kᵀ·scale − max) / sum`` with the kept row max and sum, by the
-operations of the forward, so they keep their bytes.  The context
-rebuild and the vjp share one build of each of p, q, k and v.  In the
-paper-default social transformer at 60 windows the four self-attentions
-have 3.75 MiB probabilities each, and their probabilities and q/k/v
-views held 37.5 MiB of the tape; rebuilding them costs three
-projection GEMMs, one score GEMM and one ``exp`` per attention.  Small
-attentions (the criterion-7 model's are at most 200 kB) keep their
-arrays: there a rebuild costs time and saves little memory.  Rebuilding
-every attention made a criterion-7-shaped training step about 6% slower
-and a paper-default one about 11% (in-process A/B, one core).  The size
-is a property of the input, so the same call always takes the same
-path.  The arrays behind a rebuild must not change between the forward
-and the backward, as for every array a vjp keeps.
+``attention``'s vjp and its context rebuild read p, q, k and v through
+one rebuild each; one size rule picks what those are.  While the
+probabilities take under 1 MiB (``_ATTENTION_REBUILD_BYTES``), each
+keeps the forward's array (``_kept``): there a rebuild costs time and
+saves little memory.  From that size on, q, k and v are each operand's
+shared rebuild, or one that keeps its data when it has none, and the
+probabilities are rebuilt as ``exp(q kᵀ·scale − max) / sum`` with the
+kept row max and sum, by the operations of the forward, so they keep
+their bytes; that costs three projection GEMMs, one score GEMM and one
+``exp`` per attention.  The size is a property of the input, so the same
+call always takes the same path.
 
 ``segment_mean`` and the vjp of ``index_select`` add rows by id with one
 ``np.bincount`` (``_scatter_add_rows``), in row order from +0.0 as
@@ -96,14 +91,12 @@ Heap policy: on glibc, loading this module keeps freed heap mapped.  A
 forward or backward allocates and frees temporaries of several MB each;
 by default glibc serves the larger ones with ``mmap`` and trims the
 heap top when enough is free, so the next call faults every page of
-them in afresh (about 2,500 minor faults per 256-window ``predict``
-chunk of the criterion-7 model).  ``_keep_freed_heap`` raises the trim
-threshold to 1 GiB and fixes the mmap threshold at 32 MiB, glibc's own
-ceiling for its dynamic threshold, so those temporaries reuse heap
-pages that stay resident.  Setting one threshold turns off glibc's
-dynamic adjustment of the other, so both are set.  Where ``mallopt`` is
-missing (another libc or platform) the module leaves the allocator
-alone.
+them in afresh.  ``_keep_freed_heap`` raises the trim threshold to
+1 GiB and fixes the mmap threshold at 32 MiB, glibc's own ceiling for
+its dynamic threshold, so those temporaries reuse heap pages that stay
+resident.  Setting one threshold turns off glibc's dynamic adjustment of
+the other, so both are set.  Where ``mallopt`` is missing (another libc
+or platform) the module leaves the allocator alone.
 """
 
 from __future__ import annotations
@@ -151,13 +144,11 @@ class Tensor:
     it (``None`` for a leaf or a constant).  Only a leaf that requires
     grad keeps a gradient; ``backward`` adds into its ``grad`` in place.
     ``_remat`` is ``None`` or the output's shared rebuild, a ``_Rebuild``
-    whose call returns an array with the bytes of ``data``; ``affine`` and
-    a large ``attention`` read it instead of keeping ``data``.
-    ``_recipe`` is ``None`` or the ``(build, sources)`` of a rebuild that
-    a large ``attention`` makes for a recorded ``none`` ``affine`` output
-    (see the module docstring)."""
+    whose call returns an array with the bytes of ``data``: a fused op
+    records one for every output its vjp does not keep, and ``affine`` and
+    a large ``attention`` read it instead of keeping ``data``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "_remat", "_recipe")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_remat")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -165,7 +156,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._node = None
         self._remat = None
-        self._recipe = None
 
     @property
     def shape(self):
@@ -256,14 +246,14 @@ class _Rebuild:
         return out
 
 
-def _make(data, parents, vjp, remat=None) -> Tensor:
+def _make(data, parents, vjp, remat=None, sources=()) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(vjp, tuple(p._node or (p if p.requires_grad else None)
                                      for p in parents))
         if remat is not None:
-            out._remat = _Rebuild(remat)
+            out._remat = _Rebuild(remat, sources)
     return out
 
 
@@ -541,10 +531,8 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
         raise ShapeError(f"affine: cannot map {x.shape} through a {w.shape} weight")
     k, n = w.shape
     shape, rb, wf, bf = x.shape, b.requires_grad, w.data, b.data
-    # Whether ``_make`` records a node: only then is a rebuild made or read.
-    record = _GRAD_ENABLED and (x.requires_grad or w.requires_grad or b.requires_grad)
-    # The weight gradient and the relu rebuild read ``x``: its rebuild when
-    # it has one, else its data.
+    # The weight gradient and the output's rebuild read ``x``: its rebuild
+    # when it has one, else its data.
     xr = x._remat or x.data
     xd = xr if w.requires_grad else None
     wd = wf if x.requires_grad else None
@@ -583,17 +571,14 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
         )
 
     out = _make(flat_out.reshape(shape[:-1] + (n,)), (x, w, b), vjp,
-                rebuild if activation == "relu" else None)
-    if record:  # count this op's reads of the rebuilds
-        sources = (xr,) if callable(xr) else ()
-        own = out._remat
-        if own is not None:
-            own.sources = sources
+                None if activation == "tanh" else rebuild,  # tanh's vjp keeps the output
+                (xr,) if callable(xr) else ())
+    if out._node is not None:  # count this op's reads of the rebuilds
+        if activation == "relu":
+            own = out._remat
             own.count()
-        if xd is not None and sources:
+        if xd is not None and callable(xr):
             xr.count()
-        if activation == "none":  # nothing keeps this output
-            out._recipe = (rebuild, sources)
     return out
 
 
@@ -617,15 +602,15 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 _ATTENTION_REBUILD_BYTES = 1 << 20
 
 
+def _kept(array: np.ndarray) -> _Rebuild:
+    """A rebuild that keeps ``array`` and hands it to every read."""
+    return _Rebuild(lambda: array)
+
+
 def _reread(a: Tensor) -> _Rebuild:
     """The rebuild through which a large ``attention`` reads ``a``: its
-    shared rebuild, one made from its recipe, or one that keeps its data."""
-    if a._remat is not None:
-        return a._remat
-    if a._recipe is not None:
-        return _Rebuild(*a._recipe)
-    data = a.data
-    return _Rebuild(lambda: data)
+    shared rebuild, or one that keeps its data."""
+    return a._remat or _kept(a.data)
 
 
 def attention(q, k, v, heads: int, scale: float) -> Tensor:
@@ -662,9 +647,11 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
     row_sum = p.sum(axis=-1, keepdims=True)
     p /= row_sum
     out_data = merged(p, split(v.data, lk), lq)
-    sources = ()
-    if _GRAD_ENABLED and (rq or rk or rv) and p.nbytes >= _ATTENTION_REBUILD_BYTES:
-        # Keep the row max and sum; rebuild q, k, v and p in backward.
+    if not (_GRAD_ENABLED and (rq or rk or rv)):
+        return Tensor(out_data)
+    if p.nbytes < _ATTENTION_REBUILD_BYTES:
+        pr, qr, kr, vr = _kept(p), _kept(q.data), _kept(k.data), _kept(v.data)
+    else:  # keep the row max and sum; rebuild q, k, v and p in backward
         qr, kr, vr = _reread(q), _reread(k), _reread(v)
 
         def probabilities():
@@ -675,26 +662,14 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
             return p
 
         pr = _Rebuild(probabilities, (qr, kr))
-        for r in (pr, qr, kr, vr):  # the vjp's reads
-            r.count()
-        sources = (pr, vr)  # the context rebuild's reads
+    for r in (pr, qr, kr, vr):  # the vjp's reads
+        r.count()
 
-        def arrays():
-            return pr(), split(qr(), lq), split(kr(), lk), split(vr(), lk)
-
-        def context():
-            return merged(pr(), split(vr(), lk), lq)
-    else:
-        qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
-
-        def arrays():
-            return p, qh, kh, vh
-
-        def context():
-            return merged(p, vh, lq)
+    def context():
+        return merged(pr(), split(vr(), lk), lq)
 
     def vjp(g):
-        p, qh, kh, vh = arrays()
+        p, qh, kh, vh = pr(), split(qr(), lq), split(kr(), lk), split(vr(), lk)
         gh = split(g, lq)
         gv = merged(p.transpose(0, 1, 3, 2), gh, lk) if rv else None
         gs = gh @ vh.transpose(0, 1, 3, 2)
@@ -707,10 +682,7 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
             gv,
         )
 
-    out = _make(out_data, (q, k, v), vjp, context)
-    if sources:
-        out._remat.sources = sources
-    return out
+    return _make(out_data, (q, k, v), vjp, context, (pr, vr))
 
 
 def _scatter_add_rows(values, ids, num_rows: int) -> np.ndarray:

@@ -31,14 +31,14 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
 
 class MultiHeadAttention:
     """``out(attention(q(queries), k(memory), v(memory)))``.  The q, k and
-    v projections are ``none`` ``affine`` outputs that only the attention
-    reads.  When the probabilities take at least 1 MiB (the paper-default
-    social self-attentions: 3.75 MiB each at 60 windows), the tape keeps
-    neither them nor the projections; backward rebuilds q, k and v
-    through their ``affine`` forward from the layer-norm rebuild that
-    their weight gradients read anyway, and the probabilities from the
-    kept softmax row max and sum (see ``nn/tensor.py``).  Smaller
-    attentions keep both."""
+    v projections are ``none`` ``affine`` outputs whose shared rebuilds
+    only the attention reads.  When the probabilities take at least 1 MiB
+    (the paper-default social self-attentions: 3.75 MiB each at 60
+    windows), the tape keeps neither them nor the projections; backward
+    reads q, k and v through those rebuilds, from the layer-norm rebuild
+    that their weight gradients read anyway, and rebuilds the
+    probabilities from the kept softmax row max and sum (see
+    ``nn/tensor.py``).  Smaller attentions keep both."""
 
     def __init__(self, store: ParameterStore, name: str, dim: int, heads: int):
         if dim % heads:

@@ -7,8 +7,9 @@ checkpoints and logs.  Checkpoints hold the float64 state as trained, so
 a resumed run writes the same bytes as an uninterrupted one.  This
 module alone names the checkpoint keys: each parameter's name, the same
 name under ``adam.m.`` and ``adam.v.``, and the meta fields.  The loop
-is single-threaded by design; that is the reference path the
-determinism guarantees are stated for.
+runs in one Python thread; BLAS runs at the library's default thread
+count (the tests and the benchmark pin 1), and the guarantees above are
+stated for a fixed thread count.
 """
 
 from __future__ import annotations

@@ -229,8 +229,8 @@ class TestQueryProjection:
                        leaves, rng)
 
 
-# The ops whose output an ``affine`` rebuilds in backward instead of
-# keeping.
+# The ops that give their output a shared rebuild, which an ``affine``
+# it feeds reads in backward instead of keeping the output.
 PRODUCERS = {
     "layer_norm": lambda rng: T.layer_norm(leaf(rng, (2, 3, 6)), leaf(rng, (6,)),
                                            leaf(rng, (6,)), 1e-5),
@@ -238,6 +238,7 @@ PRODUCERS = {
                                          leaf(rng, (2, 4, 6)), 2, 0.5),
     "relu": lambda rng: T.affine(leaf(rng, (2, 3, 4)), leaf(rng, (4, 6)), leaf(rng, (6,)),
                                  "relu"),
+    "none": lambda rng: T.affine(leaf(rng, (2, 3, 4)), leaf(rng, (4, 6)), leaf(rng, (6,))),
 }
 
 
@@ -268,6 +269,20 @@ class TestRebuiltInputs:
         with T.no_grad():
             t = PRODUCERS[op](np.random.default_rng(642))
         assert t._node is None and t._remat is None
+
+    def test_none_rebuild_counts_its_source_only_once_read(self):
+        """A recorded ``none`` ``affine`` output has a rebuild with its
+        bytes, which adds no reader to the layer-norm rebuild it reads
+        until something counts it."""
+        rng = np.random.default_rng(645)
+        x = PRODUCERS["layer_norm"](rng)
+        y = T.affine(x, leaf(rng, (6, 5)), leaf(rng, (5,)))
+        assert x._remat.readers == 1  # ``y``'s weight gradient
+        assert y._remat.readers == 0 and y._remat.sources == (x._remat,)
+        y._remat.count()
+        assert x._remat.readers == 2 and y._remat.readers == 1
+        assert y._remat().tobytes() == y.data.tobytes()
+        assert x._remat.readers == 1 and y._remat.array is None
 
     def test_mul_with_one_gradient_keeps_no_rebuild(self):
         """Nor with two: ``mul`` never sets a rebuild, so an ``affine`` it
@@ -340,8 +355,14 @@ class TestAttentionRebuild:
         that keeps p and the q/k/v views; the rebuilds the large path
         reads are built once each and end with no reader and no array."""
         kept = self.forward_context_and_vjp(case, np.inf, monkeypatch)
+        # The kept path reads p, q, k and v as they are: it builds only the
+        # context, and no layer norm, projection or probabilities again.
         assert {r.kind for r in rebuilds} <= {"layer_norm.<locals>.output",
+                                              "affine.<locals>.rebuild",
+                                              "_kept.<locals>.<lambda>",
                                               "attention.<locals>.context"}
+        assert all(r.builds == 0 for r in rebuilds
+                   if r.kind in ("layer_norm.<locals>.output", "affine.<locals>.rebuild"))
         del rebuilds[:]
         rebuilt = self.forward_context_and_vjp(
             case, REBUILD_BYTES if case == "size" else 0, monkeypatch)
@@ -349,7 +370,7 @@ class TestAttentionRebuild:
         assert rebuilt[1].tobytes() == rebuilt[0].tobytes()
         read = [r for r in rebuilds if r.kind != "layer_norm.<locals>.output"]
         kinds = sorted(r.kind for r in read)
-        operand = "_reread.<locals>.<lambda>" if case == "size" else "affine.<locals>.rebuild"
+        operand = "_kept.<locals>.<lambda>" if case == "size" else "affine.<locals>.rebuild"
         assert kinds == sorted([operand] * 3 + ["attention.<locals>.context",
                                                 "attention.<locals>.probabilities"])
         assert all(r.builds == 1 and r.readers == 0 and r.array is None for r in read)
@@ -388,14 +409,39 @@ class TestAttentionRebuild:
                     fns.append(value)
         assert (2, 2, 5, 1) in shapes and (2, 2, 5, 5) not in shapes
 
+    def test_small_attention_reads_kept_arrays(self, rebuilds):
+        """Below the size the vjp and the context read p, q, k and v
+        through ``_kept`` rebuilds that hand out the forward's own arrays,
+        so no layer norm, projection or probabilities are built again."""
+        rng = np.random.default_rng(655)
+        q, k, v = attention_operands("self", rng)
+        out = T.attention(q, k, v, 2, 0.5)
+        vjp = out._node.vjp
+        cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
+        pr, qr, kr, vr = (cells[name].cell_contents for name in ("pr", "qr", "kr", "vr"))
+        assert {r.kind for r in (pr, qr, kr, vr)} == {"_kept.<locals>.<lambda>"}
+        assert out._remat.sources == (pr, vr)
+        assert qr.build() is q.data and kr.build() is k.data and vr.build() is v.data
+        assert pr.build() is pr.build() and pr.build().shape == (2, 2, 5, 5)
+        out._remat.count()
+        out._remat()
+        vjp(rng.normal(size=(2, 5, 6)))
+        assert all(r.builds == 0 for r in rebuilds
+                   if r.kind in ("layer_norm.<locals>.output", "affine.<locals>.rebuild"))
+        assert all(r.readers == 0 and r.array is None for r in (pr, qr, kr, vr))
+
     def test_small_or_untaped_attention_makes_no_rebuild(self, monkeypatch, rebuilds):
-        """Below the size the only rebuilds are the layer norm's and the
-        context's, as before; under ``no_grad`` there are none at all."""
+        """Below the size the attention makes no rebuild that recomputes:
+        it hands p, q, k and v to its vjp and context through ``_kept``
+        rebuilds, adds its context's, and leaves its operands' own rebuilds
+        unread; under ``no_grad`` there are no rebuilds at all."""
         rng = np.random.default_rng(654)
         q, k, v = attention_operands("self", rng)
         T.attention(q, k, v, 2, 0.5)
-        assert [r.kind for r in rebuilds] == ["layer_norm.<locals>.output",
-                                              "attention.<locals>.context"]
+        assert [r.kind for r in rebuilds] == (
+            ["layer_norm.<locals>.output"] + ["affine.<locals>.rebuild"] * 3
+            + ["_kept.<locals>.<lambda>"] * 4 + ["attention.<locals>.context"])
+        assert [r.readers for r in rebuilds[1:4]] == [0, 0, 0]
         del rebuilds[:]
         monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", 0)
         with T.no_grad():
@@ -403,4 +449,4 @@ class TestAttentionRebuild:
             T.attention(q, k, v, 8, 0.25)
             q, k, v = attention_operands("self", rng)
             out = T.attention(q, k, v, 2, 0.5)
-        assert rebuilds == [] and out._remat is None and q._recipe is None
+        assert rebuilds == [] and out._remat is None and q._remat is None

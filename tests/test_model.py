@@ -51,10 +51,10 @@ def make_sample(seed=0, t_h=4, t_f=6, n_neighbors=2, dt=0.4):
 
 def kept_probabilities(out):
     """The probabilities that the vjp of an ``attention`` below the
-    rebuild size keeps: the first of the arrays it reads."""
+    rebuild size keeps: the array its ``pr`` rebuild hands out."""
     vjp = out._node.vjp
     cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
-    return cells["arrays"].cell_contents()[0]
+    return cells["pr"].cell_contents.build()
 
 
 def run_forward(model, samples, noise=None):
@@ -449,8 +449,10 @@ class TestLossGraph:
         """The readers of a rebuildable output share one build, dropped
         after the last of them: the q/k/v weight gradients read one
         layer-norm rebuild, and each feed-forward hidden layer is built
-        once, for ``down``'s weight gradient and ``up``'s mask."""
-        rebuilds = {"layer_norm": [], "attention": [], "affine": []}
+        once, for ``down``'s weight gradient and ``up``'s mask.  Below the
+        attention rebuild size nothing reads a ``none`` projection's
+        rebuild, so it is never built."""
+        rebuilds = {"layer_norm": [], "attention": [], "affine": [], "none": []}
 
         def counting(kind, op):
             def wrapped(*args):
@@ -463,11 +465,12 @@ class TestLossGraph:
                         return build()
 
                     rebuild.build = counted
-                    rebuilds[kind].append((rebuild, calls))
+                    none = kind == "affine" and args[3] == "none"
+                    rebuilds["none" if none else kind].append((rebuild, calls))
                 return out
             return wrapped
 
-        for kind in rebuilds:
+        for kind in ("layer_norm", "attention", "affine"):
             monkeypatch.setattr(T, kind, counting(kind, getattr(T, kind)))
         cfg = toy_config(tf_layers=2)
         model = ReverbPredictor(cfg, seed=40)
@@ -477,12 +480,50 @@ class TestLossGraph:
         layers = len(model.branches) * cfg.tf_layers  # encoder layers; as many decoder layers
         builds = {kind: [calls[0] for _, calls in found] for kind, found in rebuilds.items()}
         assert builds["affine"] == [1] * (2 * layers)  # one hidden layer per feed-forward layer
+        assert builds["none"] and not any(builds["none"])
         assert builds["attention"] == [1] * (3 * layers)  # self, self and cross
         # Each ``ln_enc`` output feeds no ``affine``, so it is never built.
         assert sorted(builds["layer_norm"]) == [0] * len(model.branches) + [1] * (
             len(builds["layer_norm"]) - len(model.branches))
         for found in rebuilds.values():
             assert all(r.readers == 0 and r.array is None for r, _ in found)
+
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_every_rebuild_a_vjp_reaches_has_a_reader(self, monkeypatch, limit):
+        """After a recorded forward, each ``_Rebuild`` that a vjp reaches,
+        through closures, builds and sources, has been counted: a rebuild
+        that nothing counted would be built afresh at each read.  With
+        ``limit`` 0 every attention takes the rebuild path."""
+        if limit is not None:
+            monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", limit)
+        model = ReverbPredictor(toy_config(), seed=42)
+        batch = model.encode([make_sample(seed=s, n_neighbors=s % 3) for s in (61, 62)])
+        loss, _, _ = model.loss(batch, model.zero_noise())
+        nodes, stack, values = set(), [loss._node], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(p for p in node.parents if isinstance(p, T._Node))
+                values.append(node.vjp)
+        seen, found = set(), []
+        while values:
+            value = values.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, T._Rebuild):
+                found.append(value)
+                values.extend((value.build, *value.sources))
+            elif isinstance(value, (list, tuple)):
+                values.extend(value)
+            elif callable(value) and getattr(value, "__closure__", None):
+                values.extend(cell.cell_contents for cell in value.__closure__)
+        kinds = {r.build.__qualname__ for r in found}
+        assert {"layer_norm.<locals>.output", "affine.<locals>.rebuild",
+                "attention.<locals>.context"} <= kinds
+        assert ("attention.<locals>.probabilities" in kinds) == (limit == 0)
+        assert all(r.readers >= 1 for r in found)
 
     def test_large_attentions_rebuild_q_k_v_and_p_once_each(self, monkeypatch, rebuilds):
         """At the paper default, 16 windows give the social branch's four
@@ -515,7 +556,7 @@ class TestLossGraph:
         forward, backward = [], []
         make = T._make
 
-        def recording_make(data, parents, vjp, remat=None):
+        def recording_make(data, parents, vjp, remat=None, sources=()):
             def recording_vjp(g):
                 grads = vjp(g)
                 backward.extend(np.shape(x) for x in grads if x is not None)
@@ -527,7 +568,7 @@ class TestLossGraph:
                 return out
 
             forward.append(np.shape(data))
-            return make(data, parents, recording_vjp, remat and recording_remat)
+            return make(data, parents, recording_vjp, remat and recording_remat, sources)
 
         monkeypatch.setattr(T, "_make", recording_make)
         cfg = toy_config()
