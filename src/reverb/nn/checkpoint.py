@@ -20,6 +20,7 @@ temporary file in the target directory followed by an atomic rename
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 
 import numpy as np
@@ -128,7 +129,7 @@ def load(path):
         )
     arrays = {}
     for name, dtype, shape, offset in entries:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact, unlike np.prod: a huge shape overruns the blob
         if offset + dtype.itemsize * count > blob_size:
             raise ParseError(f"tensor {name!r} overruns the blob", path=path)
         flat = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)

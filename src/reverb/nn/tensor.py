@@ -47,41 +47,43 @@ records no node), ``relu`` is ``mul(a, a > 0)``, ``mean_`` is
 flattened ``a`` at ``arange(B) * K + idx``.
 
 Selective recomputation: each fused op gives every output its vjp
-does not keep a shared rebuild, a ``_Rebuild`` in the output's
-``_remat`` that ``_make`` creates with its build and its ``sources``,
-the rebuilds that build reads.  A rebuild makes its output again, byte
-for byte, through the code of the forward from arrays the tape holds
-anyway: ``x̂ * γ + β`` for ``layer_norm``, ``act(x' @ w + b)`` for a
-``none`` or ``relu`` ``affine``, where ``x'`` is its input's rebuild
-or, without one, its input's data, and the merged ``p @ v`` heads for
-``attention``.  The readers are ``affine`` (the weight gradient of an
-``affine`` an output feeds, a relu's rebuild of its own output, and a
-relu's vjp, for its mask) and a large ``attention``.  Each reader is
-counted when its op records a node, and a rebuild counts its reads of
-its sources when it gets its first reader, so a rebuild that nothing
-reads holds none of them and is never built.  The first read in
-backward builds the array, later readers get the same array, and the
-last drops it.  ``_remat`` is set only when the op records a node, so
-under ``no_grad`` nothing is kept and no rebuild is made.  The outputs
-are freed in the forward, then built at most once each in backward: the
-layer-norm rebuild is one multiply-add, the attention rebuild redoes the
-batched ``p @ v`` GEMM, and a feed-forward hidden layer (B·L × 4d, the
-widest array of a transformer step) is rebuilt by its ``up`` GEMM for
-``down``'s weight gradient and kept until ``up``'s vjp has its mask.
-The arrays behind a rebuild must not change between the forward and the
-backward, as for every array a vjp keeps.
+does not keep a shared rebuild in the output's ``_remat``, a
+zero-argument build that ``_make`` caches: the first call builds the
+array and later calls get the same one.  It makes the output again,
+byte for byte, through the code of the forward from arrays the tape
+holds anyway: ``x̂ * γ + β`` for ``layer_norm``, ``act(x' @ w + b)`` for
+a ``none`` or ``relu`` ``affine``, with ``x'`` read through ``_reread``,
+and the merged ``p @ v`` heads for ``attention``.  The vjps and
+rebuilds that close over a rebuild read it: the weight gradient and the
+rebuild of an ``affine`` the output feeds, a relu's vjp (for its mask)
+and a large ``attention``.  A rebuilt array lives as long as the vjps
+and rebuilds that hold it, like any array a vjp keeps: ``backward``
+drops each vjp as it passes it, so the array is freed once the last vjp
+that holds it has run, and a rebuild that nothing reads is never built.
+``_remat`` is set only when the op records a node, so under ``no_grad``
+nothing is kept and no rebuild is made.  The outputs are freed in the
+forward, then built at most once each in backward: the layer-norm
+rebuild is one multiply-add, the attention rebuild redoes the batched
+``p @ v`` GEMM, and a feed-forward hidden layer (B·L × 4d, the widest
+array of a transformer step) is rebuilt by its ``up`` GEMM for
+``down``'s weight gradient and kept until ``up``'s vjp, its last
+reader, has its mask and lets go of it.  A caller that holds a fused
+op's output across ``backward`` holds its rebuilt array too; no output
+of ``model.loss`` has a rebuild.  The arrays behind a rebuild must not
+change between the forward and the backward, as for every array a vjp
+keeps.
 
 ``attention``'s vjp and its context rebuild read p, q, k and v through
 one rebuild each; one size rule picks what those are.  While the
 probabilities take under 1 MiB (``_ATTENTION_REBUILD_BYTES``), each
-keeps the forward's array (``_kept``): there a rebuild costs time and
-saves little memory.  From that size on, q, k and v are each operand's
-shared rebuild, or one that keeps its data when it has none, and the
-probabilities are rebuilt as ``exp(q kᵀ·scale − max) / sum`` with the
-kept row max and sum, by the operations of the forward, so they keep
-their bytes; that costs three projection GEMMs, one score GEMM and one
-``exp`` per attention.  The size is a property of the input, so the same
-call always takes the same path.
+hands out the forward's array (``_kept``): there a rebuild costs time
+and saves little memory.  From that size on, q, k and v are read
+through ``_reread``, and the probabilities are rebuilt as
+``exp(q kᵀ·scale − max) / sum`` with the kept row max and sum, by the
+operations of the forward, so they keep their bytes; that costs three
+projection GEMMs, one score GEMM and one ``exp`` per attention.  The
+size is a property of the input, so the same call always takes the
+same path.
 
 ``segment_mean`` and the vjp of ``index_select`` add rows by id with one
 ``np.bincount`` (``_scatter_add_rows``), in row order from +0.0 as
@@ -103,6 +105,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+from functools import cache
 
 import numpy as np
 
@@ -143,10 +146,12 @@ class Tensor:
     """A float64 array, its ``grad``, and the ``_node`` of the op that made
     it (``None`` for a leaf or a constant).  Only a leaf that requires
     grad keeps a gradient; ``backward`` adds into its ``grad`` in place.
-    ``_remat`` is ``None`` or the output's shared rebuild, a ``_Rebuild``
-    whose call returns an array with the bytes of ``data``: a fused op
-    records one for every output its vjp does not keep, and ``affine`` and
-    a large ``attention`` read it instead of keeping ``data``."""
+    ``_remat`` is ``None`` or the output's shared rebuild, a cached
+    zero-argument build whose call returns an array with the bytes of
+    ``data``: a fused op records one for every output its vjp does not
+    keep, and ``affine`` and a large ``attention`` read it instead of
+    keeping ``data``.  The rebuilt array lives as long as the vjps and
+    rebuilds that hold the rebuild, or a caller that holds this tensor."""
 
     __slots__ = ("data", "grad", "requires_grad", "_node", "_remat")
 
@@ -217,43 +222,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-class _Rebuild:
-    """One rebuildable output, shared by all its readers (see the module
-    docstring).  A call builds the array on the first read and hands the
-    same array to every later one.  ``readers`` counts the reads still to
-    come, added by ``count`` when each reader is recorded; the array is
-    dropped after the last of them, and a read nobody counted builds it
-    afresh.  ``sources`` are the rebuilds that ``build`` reads, once each:
-    the first ``count`` counts those reads, so a rebuild that nothing
-    reads holds none of its sources."""
-
-    __slots__ = ("build", "readers", "array", "sources")
-
-    def __init__(self, build, sources=()):
-        self.build, self.readers, self.array, self.sources = build, 0, None, sources
-
-    def count(self):
-        """Count one more read of this rebuild."""
-        sources, self.sources = self.sources, ()
-        for source in sources:
-            source.count()
-        self.readers += 1
-
-    def __call__(self) -> np.ndarray:
-        out = self.build() if self.array is None else self.array
-        self.readers -= 1
-        self.array = out if self.readers > 0 else None
-        return out
-
-
-def _make(data, parents, vjp, remat=None, sources=()) -> Tensor:
+def _make(data, parents, vjp, remat=None) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(vjp, tuple(p._node or (p if p.requires_grad else None)
                                      for p in parents))
         if remat is not None:
-            out._remat = _Rebuild(remat, sources)
+            out._remat = cache(remat)
     return out
 
 
@@ -531,9 +507,7 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
         raise ShapeError(f"affine: cannot map {x.shape} through a {w.shape} weight")
     k, n = w.shape
     shape, rb, wf, bf = x.shape, b.requires_grad, w.data, b.data
-    # The weight gradient and the output's rebuild read ``x``: its rebuild
-    # when it has one, else its data.
-    xr = x._remat or x.data
+    xr = _reread(x)  # read by the weight gradient and the output's rebuild
     xd = xr if w.requires_grad else None
     wd = wf if x.requires_grad else None
 
@@ -546,22 +520,24 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
             np.maximum(out, 0.0, out=out)
         return out
 
-    def rebuild():  # this output's bytes, from ``x``'s rebuild or data
-        return forward(xr() if callable(xr) else xr)
+    def rebuild():  # this output's bytes
+        return forward(xr())
 
     flat_out = forward(x.data)
     saved = flat_out if activation == "tanh" else None
-    own = None  # relu: the output's rebuild, read for the mask; set once recorded
 
     def vjp(g):
+        nonlocal own
         g = g.reshape(-1, n)
         if activation == "tanh":
             g = g * (1.0 - saved * saved)
-        elif activation == "relu":
-            g = g * (own() > 0)
+        elif activation == "relu":  # the output's last read: let it go before the product
+            mask, own = own() > 0, None
+            g = g * mask
+            del mask
         gw = None
         if xd is not None:
-            x2 = (xd() if callable(xd) else xd).reshape(-1, k)
+            x2 = xd().reshape(-1, k)
             # For a wide input ``(g^T x)^T`` is the faster GEMM, with the same bytes.
             gw = (g.T @ x2).T if k > n else x2.T @ g
         return (
@@ -571,14 +547,8 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
         )
 
     out = _make(flat_out.reshape(shape[:-1] + (n,)), (x, w, b), vjp,
-                None if activation == "tanh" else rebuild,  # tanh's vjp keeps the output
-                (xr,) if callable(xr) else ())
-    if out._node is not None:  # count this op's reads of the rebuilds
-        if activation == "relu":
-            own = out._remat
-            own.count()
-        if xd is not None and callable(xr):
-            xr.count()
+                None if activation == "tanh" else rebuild)  # tanh's vjp keeps the output
+    own = out._remat if activation == "relu" else None  # the relu vjp reads its mask from it
     return out
 
 
@@ -602,14 +572,14 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 _ATTENTION_REBUILD_BYTES = 1 << 20
 
 
-def _kept(array: np.ndarray) -> _Rebuild:
+def _kept(array: np.ndarray):
     """A rebuild that keeps ``array`` and hands it to every read."""
-    return _Rebuild(lambda: array)
+    return lambda: array
 
 
-def _reread(a: Tensor) -> _Rebuild:
-    """The rebuild through which a large ``attention`` reads ``a``: its
-    shared rebuild, or one that keeps its data."""
+def _reread(a: Tensor):
+    """The rebuild through which ``affine`` and a large ``attention`` read
+    ``a``: its shared rebuild, or one that keeps its data."""
     return a._remat or _kept(a.data)
 
 
@@ -661,9 +631,7 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
             p /= row_sum
             return p
 
-        pr = _Rebuild(probabilities, (qr, kr))
-    for r in (pr, qr, kr, vr):  # the vjp's reads
-        r.count()
+        pr = cache(probabilities)
 
     def context():
         return merged(pr(), split(vr(), lk), lq)
@@ -682,7 +650,7 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
             gv,
         )
 
-    return _make(out_data, (q, k, v), vjp, context, (pr, vr))
+    return _make(out_data, (q, k, v), vjp, context)
 
 
 def _scatter_add_rows(values, ids, num_rows: int) -> np.ndarray:

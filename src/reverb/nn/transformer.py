@@ -36,9 +36,10 @@ class MultiHeadAttention:
     (the paper-default social self-attentions: 3.75 MiB each at 60
     windows), the tape keeps neither them nor the projections; backward
     reads q, k and v through those rebuilds, from the layer-norm rebuild
-    that their weight gradients read anyway, and rebuilds the
-    probabilities from the kept softmax row max and sum (see
-    ``nn/tensor.py``).  Smaller attentions keep both."""
+    their weight gradients read anyway, and rebuilds the probabilities
+    from the kept softmax row max and sum; each rebuilt array lives as
+    long as the vjps and rebuilds that hold it (see ``nn/tensor.py``).
+    Smaller attentions keep both."""
 
     def __init__(self, store: ParameterStore, name: str, dim: int, heads: int):
         if dim % heads:
@@ -59,8 +60,8 @@ class MultiHeadAttention:
 class FeedForward:
     """``down(relu(up(x)))``, 4·d wide in the middle.  The hidden layer
     is not kept for backward: ``up`` records a rebuild of it, built once
-    for ``down``'s weight gradient and read again for ``up``'s relu mask
-    (see ``nn/tensor.py``)."""
+    for ``down``'s weight gradient and freed with ``up``'s vjp, which
+    reads it again for its relu mask (see ``nn/tensor.py``)."""
 
     def __init__(self, store: ParameterStore, name: str, dim: int, hidden: int):
         self.up = Dense(store, f"{name}.up", dim, hidden, activation="relu")

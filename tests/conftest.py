@@ -2,7 +2,9 @@
 does: a multi-threaded BLAS stalls when another process holds a core,
 which makes test wall times depend on load elsewhere on the machine."""
 
+import functools
 import os
+import weakref
 
 import pytest
 
@@ -10,26 +12,46 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 
+class Made:
+    """One cached rebuild that ``nn.tensor`` made: ``kind``, its build's
+    qualified name (``attention.<locals>.probabilities`` and so on),
+    ``builds``, the cache misses of the rebuild (calls of its build), and
+    ``rebuild``, a weak reference to it."""
+
+    def __init__(self, build):
+        self.kind, self.builds, self.rebuild = build.__qualname__, 0, None
+
+    def alive(self) -> bool:
+        return self.rebuild() is not None
+
+
+class Rebuilds(list):
+    def of(self, rebuild) -> Made:
+        """The record of ``rebuild``."""
+        return next(m for m in self if m.rebuild() is rebuild)
+
+
 @pytest.fixture
 def rebuilds(monkeypatch):
-    """Make ``T._Rebuild`` record each rebuild made; returns their list.
-    Each has ``kind``, its build's qualified name (``attention.<locals>.
-    probabilities`` and so on), and ``builds``, the calls of its build."""
+    """Record each cached rebuild that ``nn.tensor`` makes; returns the
+    records, a ``Rebuilds`` list of ``Made``.  The records hold no
+    rebuild, so each still dies as it would untested."""
     from reverb.nn import tensor as T
 
-    made = []
+    made = Rebuilds()
 
-    class Counted(T._Rebuild):
-        __slots__ = ("kind", "builds")
+    def recording(build):
+        record = Made(build)
 
-        def __init__(self, build, sources=()):
-            def counted():
-                self.builds += 1
-                return build()
+        @functools.wraps(build)
+        def counted():
+            record.builds += 1
+            return build()
 
-            super().__init__(counted, sources)
-            self.kind, self.builds = build.__qualname__, 0
-            made.append(self)
+        rebuild = functools.cache(counted)
+        record.rebuild = weakref.ref(rebuild)
+        made.append(record)
+        return rebuild
 
-    monkeypatch.setattr(T, "_Rebuild", Counted)
+    monkeypatch.setattr(T, "cache", recording)
     return made

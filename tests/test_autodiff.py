@@ -369,8 +369,7 @@ class TestGraphMechanics:
                     value = cell.cell_contents
                     items = value if isinstance(value, (list, tuple)) else (value,)
                     assert not any(isinstance(v, T.Tensor) for v in items), value
-                    if isinstance(value, T._Rebuild):  # a shared rebuild's build
-                        value = value.build
+                    value = getattr(value, "__wrapped__", value)  # a cached rebuild's build
                     if callable(value) and hasattr(value, "__closure__"):
                         fns.append(value)
                     cells += 1

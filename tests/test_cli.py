@@ -193,6 +193,8 @@ MALFORMED_INPUTS = {
                              rb"\g<1>2,x", 2, "model.bin", "shape"),
     "checkpoint_blob_overrun": ("model.bin", rb"(tensor \S+ float64 [0-9,]+ )\d+",
                                 rb"\g<1>999999999", 2, "model.bin", "overruns"),
+    "checkpoint_shape_overflow": ("model.bin", rb"(tensor \S+ float64 )[0-9,]+",
+                                  rb"\g<1>4294967296,4294967296", 2, "model.bin", "overruns"),
     "checkpoint_bad_dtype": ("model.bin", rb"(tensor \S+ )float64", rb"\1float16", 2,
                              "model.bin", "line 7: bad tensor line"),
     "checkpoint_missing_epoch": ("model.bin", rb"meta epoch \d+\n", b"", 2,

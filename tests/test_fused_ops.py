@@ -2,6 +2,7 @@
 oracles (``oracles.py``): forward and gradients at rtol 1e-12, plus a
 finite-difference check of each fused op."""
 
+import inspect
 import weakref
 
 import numpy as np
@@ -270,19 +271,22 @@ class TestRebuiltInputs:
             t = PRODUCERS[op](np.random.default_rng(642))
         assert t._node is None and t._remat is None
 
-    def test_none_rebuild_counts_its_source_only_once_read(self):
+    def test_none_rebuild_counts_its_source_only_once_read(self, rebuilds):
         """A recorded ``none`` ``affine`` output has a rebuild with its
-        bytes, which adds no reader to the layer-norm rebuild it reads
-        until something counts it."""
+        bytes, which builds the layer-norm rebuild it reads only when it
+        is read, once, and holds it no longer than it and ``y``'s vjp
+        live."""
         rng = np.random.default_rng(645)
         x = PRODUCERS["layer_norm"](rng)
         y = T.affine(x, leaf(rng, (6, 5)), leaf(rng, (5,)))
-        assert x._remat.readers == 1  # ``y``'s weight gradient
-        assert y._remat.readers == 0 and y._remat.sources == (x._remat,)
-        y._remat.count()
-        assert x._remat.readers == 2 and y._remat.readers == 1
+        source, own = rebuilds.of(x._remat), rebuilds.of(y._remat)
+        assert source.builds == own.builds == 0
         assert y._remat().tobytes() == y.data.tobytes()
-        assert x._remat.readers == 1 and y._remat.array is None
+        assert y._remat() is y._remat() and source.builds == own.builds == 1
+        del x  # ``y``'s weight gradient and rebuild still read the source
+        assert source.alive()
+        del y
+        assert not source.alive() and not own.alive()
 
     def test_mul_with_one_gradient_keeps_no_rebuild(self):
         """Nor with two: ``mul`` never sets a rebuild, so an ``affine`` it
@@ -292,24 +296,26 @@ class TestRebuiltInputs:
             t = T.mul(leaf(rng, (3, 4)), other)
             assert t._node is not None and t._remat is None
 
-    def test_relu_reads_its_mask_from_the_shared_rebuild(self):
+    def test_relu_reads_its_mask_from_the_shared_rebuild(self, rebuilds):
         """A relu ``affine`` keeps neither its output nor a mask: its vjp and
         the weight gradient of the ``affine`` it feeds share one build,
-        dropped after both, and the gradients keep the bytes of a mask
-        taken from the forward output."""
+        freed as soon as the relu vjp, the last to read it, has its mask;
+        the gradients keep the bytes of a mask taken from the forward
+        output."""
         rng = np.random.default_rng(644)
         x, w, b = leaf(rng, (2, 3, 4)), leaf(rng, (4, 6)), leaf(rng, (6,))
         h = T.affine(x, w, b, "relu")
         down = T.affine(h, leaf(rng, (6, 5)), leaf(rng, (5,)))
-        rebuild, builds = h._remat, []
-        build = rebuild.build
-        rebuild.build = lambda: builds.append(1) or build()
-        assert rebuild.readers == 2
-        down._node.vjp(rng.normal(size=(2, 3, 5)))
+        made, mask = rebuilds.of(h._remat), h.data.reshape(-1, 6) > 0
+        down_vjp, h_vjp = down._node.vjp, h._node.vjp
+        del h, down  # only the two vjps hold the rebuild now
+        down_vjp(rng.normal(size=(2, 3, 5)))
+        del down_vjp  # as ``backward`` drops each vjp it has run
+        assert made.builds == 1 and made.alive()
         gh = rng.normal(size=(2, 3, 6))
-        got = h._node.vjp(gh)
-        assert len(builds) == 1 and rebuild.readers == 0 and rebuild.array is None
-        masked = gh.reshape(-1, 6) * (h.data.reshape(-1, 6) > 0)
+        got = h_vjp(gh)
+        assert made.builds == 1 and not made.alive()  # while ``h_vjp`` still lives
+        masked = gh.reshape(-1, 6) * mask
         want = [(masked @ w.data.T).reshape(x.shape), x.data.reshape(-1, 4).T @ masked,
                 masked.sum(axis=0)]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -345,7 +351,6 @@ class TestAttentionRebuild:
         bsz, lq, _, dim, heads = LARGE[case]
         q, k, v = attention_operands(case, rng)
         out = T.attention(q, k, v, heads, 1.0 / np.sqrt(dim // heads))
-        out._remat.count()
         context = out._remat()
         return [out.data, context, *out._node.vjp(rng.normal(size=(bsz, lq, dim)))]
 
@@ -353,16 +358,15 @@ class TestAttentionRebuild:
     def test_rebuilt_path_keeps_the_bytes(self, case, monkeypatch, rebuilds):
         """Forward, context rebuild and vjp byte for byte against the path
         that keeps p and the q/k/v views; the rebuilds the large path
-        reads are built once each and end with no reader and no array."""
+        reads are built once each, and every rebuild dies with the tape."""
         kept = self.forward_context_and_vjp(case, np.inf, monkeypatch)
-        # The kept path reads p, q, k and v as they are: it builds only the
-        # context, and no layer norm, projection or probabilities again.
+        # The kept path reads p, q, k and v through ``_kept``, which caches
+        # nothing: it builds only the context, and no layer norm or
+        # projection again.
         assert {r.kind for r in rebuilds} <= {"layer_norm.<locals>.output",
                                               "affine.<locals>.rebuild",
-                                              "_kept.<locals>.<lambda>",
                                               "attention.<locals>.context"}
-        assert all(r.builds == 0 for r in rebuilds
-                   if r.kind in ("layer_norm.<locals>.output", "affine.<locals>.rebuild"))
+        assert all(r.builds == 0 for r in rebuilds if r.kind != "attention.<locals>.context")
         del rebuilds[:]
         rebuilt = self.forward_context_and_vjp(
             case, REBUILD_BYTES if case == "size" else 0, monkeypatch)
@@ -370,10 +374,11 @@ class TestAttentionRebuild:
         assert rebuilt[1].tobytes() == rebuilt[0].tobytes()
         read = [r for r in rebuilds if r.kind != "layer_norm.<locals>.output"]
         kinds = sorted(r.kind for r in read)
-        operand = "_kept.<locals>.<lambda>" if case == "size" else "affine.<locals>.rebuild"
-        assert kinds == sorted([operand] * 3 + ["attention.<locals>.context",
-                                                "attention.<locals>.probabilities"])
-        assert all(r.builds == 1 and r.readers == 0 and r.array is None for r in read)
+        operands = [] if case == "size" else ["affine.<locals>.rebuild"] * 3  # leaves: ``_kept``
+        assert kinds == sorted(operands + ["attention.<locals>.context",
+                                           "attention.<locals>.probabilities"])
+        assert all(r.builds == 1 for r in read)
+        assert not any(r.alive() for r in rebuilds)
 
     @pytest.mark.parametrize("case", list(ATTENTION))
     def test_rebuilt_path_matches_the_oracle(self, case, monkeypatch):
@@ -400,9 +405,7 @@ class TestAttentionRebuild:
         shapes, fns = [], [out._node.vjp]
         while fns:
             for cell in fns.pop().__closure__ or ():
-                value = cell.cell_contents
-                if isinstance(value, T._Rebuild):
-                    value = value.build
+                value = getattr(cell.cell_contents, "__wrapped__", cell.cell_contents)
                 if isinstance(value, np.ndarray):
                     shapes.append(value.shape)
                 elif callable(value) and hasattr(value, "__closure__"):
@@ -412,36 +415,42 @@ class TestAttentionRebuild:
     def test_small_attention_reads_kept_arrays(self, rebuilds):
         """Below the size the vjp and the context read p, q, k and v
         through ``_kept`` rebuilds that hand out the forward's own arrays,
-        so no layer norm, projection or probabilities are built again."""
+        so no layer norm, projection or probabilities are built again, and
+        those rebuilds die with the vjp and the context."""
         rng = np.random.default_rng(655)
         q, k, v = attention_operands("self", rng)
         out = T.attention(q, k, v, 2, 0.5)
-        vjp = out._node.vjp
+        vjp, context = out._node.vjp, inspect.unwrap(out._remat)
         cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
+        reads = dict(zip(context.__code__.co_freevars, context.__closure__))
         pr, qr, kr, vr = (cells[name].cell_contents for name in ("pr", "qr", "kr", "vr"))
-        assert {r.kind for r in (pr, qr, kr, vr)} == {"_kept.<locals>.<lambda>"}
-        assert out._remat.sources == (pr, vr)
-        assert qr.build() is q.data and kr.build() is k.data and vr.build() is v.data
-        assert pr.build() is pr.build() and pr.build().shape == (2, 2, 5, 5)
-        out._remat.count()
+        assert {r.__qualname__ for r in (pr, qr, kr, vr)} == {"_kept.<locals>.<lambda>"}
+        assert reads["pr"].cell_contents is pr and reads["vr"].cell_contents is vr
+        assert qr() is q.data and kr() is k.data and vr() is v.data
+        assert pr() is pr() and pr().shape == (2, 2, 5, 5)
         out._remat()
         vjp(rng.normal(size=(2, 5, 6)))
-        assert all(r.builds == 0 for r in rebuilds
-                   if r.kind in ("layer_norm.<locals>.output", "affine.<locals>.rebuild"))
-        assert all(r.readers == 0 and r.array is None for r in (pr, qr, kr, vr))
+        assert all(r.builds == 0 for r in rebuilds if r.kind != "attention.<locals>.context")
+        refs = [weakref.ref(r) for r in (pr, qr, kr, vr)]
+        del out, vjp, context, cells, reads, pr, qr, kr, vr
+        assert all(ref() is None for ref in refs)
 
     def test_small_or_untaped_attention_makes_no_rebuild(self, monkeypatch, rebuilds):
         """Below the size the attention makes no rebuild that recomputes:
         it hands p, q, k and v to its vjp and context through ``_kept``
-        rebuilds, adds its context's, and leaves its operands' own rebuilds
-        unread; under ``no_grad`` there are no rebuilds at all."""
+        rebuilds, adds its context's, and holds none of its operands' own
+        rebuilds; under ``no_grad`` there are no rebuilds at all."""
         rng = np.random.default_rng(654)
         q, k, v = attention_operands("self", rng)
-        T.attention(q, k, v, 2, 0.5)
+        out = T.attention(q, k, v, 2, 0.5)
         assert [r.kind for r in rebuilds] == (
             ["layer_norm.<locals>.output"] + ["affine.<locals>.rebuild"] * 3
-            + ["_kept.<locals>.<lambda>"] * 4 + ["attention.<locals>.context"])
-        assert [r.readers for r in rebuilds[1:4]] == [0, 0, 0]
+            + ["attention.<locals>.context"])
+        reads = [cell.cell_contents for cell in out._node.vjp.__closure__]
+        assert sum(getattr(r, "__qualname__", None) == "_kept.<locals>.<lambda>"
+                   for r in reads) == 4
+        del q, k, v, reads
+        assert [r.alive() for r in rebuilds] == [True, False, False, False, True]
         del rebuilds[:]
         monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", 0)
         with T.no_grad():

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import inspect
 import weakref
 from dataclasses import replace
 
@@ -52,9 +54,42 @@ def make_sample(seed=0, t_h=4, t_f=6, n_neighbors=2, dt=0.4):
 def kept_probabilities(out):
     """The probabilities that the vjp of an ``attention`` below the
     rebuild size keeps: the array its ``pr`` rebuild hands out."""
-    vjp = out._node.vjp
-    cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
-    return cells["pr"].cell_contents.build()
+    return closure(out._node.vjp)["pr"]()
+
+
+def closure(fn):
+    """The variables that ``fn`` closes over, by name."""
+    return {name: cell.cell_contents
+            for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)}
+
+
+def reachable_rebuilds(loss):
+    """Weak references to the rebuilds that the tape of ``loss`` reaches
+    through its vjps' closures and the rebuilds' builds, and their kinds:
+    the cached ones and the ``_kept`` ones that hand out a kept array."""
+    nodes, stack, values = set(), [loss._node], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes.add(id(node))
+            stack.extend(p for p in node.parents if isinstance(p, T._Node))
+            values.append(node.vjp)
+    seen, refs, kinds = set(), [], []
+    while values:
+        value = values.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        build = inspect.unwrap(value) if callable(value) else value
+        kind = getattr(build, "__qualname__", None)
+        if hasattr(value, "cache_info") or kind == "_kept.<locals>.<lambda>":
+            refs.append(weakref.ref(value))
+            kinds.append(kind)
+        if isinstance(value, (list, tuple)):
+            values.extend(value)
+        elif getattr(build, "__closure__", None):
+            values.extend(cell.cell_contents for cell in build.__closure__)
+    return refs, kinds
 
 
 def run_forward(model, samples, noise=None):
@@ -445,94 +480,87 @@ class TestLossGraph:
         T.backward(loss)
         assert all(np.isfinite(p.grad).all() for _, p in model.store.items())
 
-    def test_one_step_builds_each_rebuild_at_most_once(self, monkeypatch):
-        """The readers of a rebuildable output share one build, dropped
-        after the last of them: the q/k/v weight gradients read one
-        layer-norm rebuild, and each feed-forward hidden layer is built
-        once, for ``down``'s weight gradient and ``up``'s mask.  Below the
-        attention rebuild size nothing reads a ``none`` projection's
-        rebuild, so it is never built."""
-        rebuilds = {"layer_norm": [], "attention": [], "affine": [], "none": []}
+    def test_one_step_builds_each_rebuild_at_most_once(self, monkeypatch, rebuilds):
+        """The readers of a rebuildable output share one build, freed with
+        the last of them: the q/k/v weight gradients read one layer-norm
+        rebuild, and each feed-forward hidden layer is built once, for
+        ``down``'s weight gradient and ``up``'s mask.  Below the attention
+        rebuild size nothing reads a ``none`` projection's rebuild, so it
+        is never built."""
+        found = {"layer_norm": [], "attention": [], "affine": [], "none": []}
 
-        def counting(kind, op):
+        def filing(kind, op):
             def wrapped(*args):
                 out = op(*args)
                 if out._remat is not None:
-                    rebuild, build, calls = out._remat, out._remat.build, [0]
-
-                    def counted():
-                        calls[0] += 1
-                        return build()
-
-                    rebuild.build = counted
                     none = kind == "affine" and args[3] == "none"
-                    rebuilds["none" if none else kind].append((rebuild, calls))
+                    found["none" if none else kind].append(rebuilds.of(out._remat))
                 return out
             return wrapped
 
         for kind in ("layer_norm", "attention", "affine"):
-            monkeypatch.setattr(T, kind, counting(kind, getattr(T, kind)))
+            monkeypatch.setattr(T, kind, filing(kind, getattr(T, kind)))
         cfg = toy_config(tf_layers=2)
         model = ReverbPredictor(cfg, seed=40)
         batch = model.encode([make_sample(seed=s, n_neighbors=s % 3) for s in (58, 59)])
         loss, _, _ = model.loss(batch, model.zero_noise())
         T.backward(loss)
         layers = len(model.branches) * cfg.tf_layers  # encoder layers; as many decoder layers
-        builds = {kind: [calls[0] for _, calls in found] for kind, found in rebuilds.items()}
+        builds = {kind: [r.builds for r in made] for kind, made in found.items()}
         assert builds["affine"] == [1] * (2 * layers)  # one hidden layer per feed-forward layer
         assert builds["none"] and not any(builds["none"])
         assert builds["attention"] == [1] * (3 * layers)  # self, self and cross
         # Each ``ln_enc`` output feeds no ``affine``, so it is never built.
         assert sorted(builds["layer_norm"]) == [0] * len(model.branches) + [1] * (
             len(builds["layer_norm"]) - len(model.branches))
-        for found in rebuilds.values():
-            assert all(r.readers == 0 and r.array is None for r, _ in found)
+        assert not any(r.alive() for r in rebuilds)
 
     @pytest.mark.parametrize("limit", [None, 0])
-    def test_every_rebuild_a_vjp_reaches_has_a_reader(self, monkeypatch, limit):
-        """After a recorded forward, each ``_Rebuild`` that a vjp reaches,
-        through closures, builds and sources, has been counted: a rebuild
-        that nothing counted would be built afresh at each read.  With
-        ``limit`` 0 every attention takes the rebuild path."""
+    def test_every_rebuild_the_tape_reaches_dies_in_backward(self, monkeypatch, rebuilds,
+                                                            limit):
+        """A rebuilt array lives as long as the vjps and rebuilds that hold
+        it.  By reference counting alone (no cycle collection), and with
+        ``loss``, ``pred`` and ``info`` held, every rebuild the tape
+        reaches after a recorded toy-model forward is built at most once,
+        and none is left when ``backward`` returns.  With ``limit`` 0
+        every attention takes the rebuild path."""
         if limit is not None:
             monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", limit)
         model = ReverbPredictor(toy_config(), seed=42)
         batch = model.encode([make_sample(seed=s, n_neighbors=s % 3) for s in (61, 62)])
-        loss, _, _ = model.loss(batch, model.zero_noise())
-        nodes, stack, values = set(), [loss._node], []
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes.add(id(node))
-                stack.extend(p for p in node.parents if isinstance(p, T._Node))
-                values.append(node.vjp)
-        seen, found = set(), []
-        while values:
-            value = values.pop()
-            if id(value) in seen:
-                continue
-            seen.add(id(value))
-            if isinstance(value, T._Rebuild):
-                found.append(value)
-                values.extend((value.build, *value.sources))
-            elif isinstance(value, (list, tuple)):
-                values.extend(value)
-            elif callable(value) and getattr(value, "__closure__", None):
-                values.extend(cell.cell_contents for cell in value.__closure__)
-        kinds = {r.build.__qualname__ for r in found}
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss, pred, info = model.loss(batch, model.zero_noise())
+            refs, kinds = reachable_rebuilds(loss)
+            assert all(ref() is not None for ref in refs)
+            T.backward(loss)
+            assert [ref() for ref in refs if ref() is not None] == []
+            assert not any(r.alive() for r in rebuilds)  # nor any that ``pred`` or ``info`` holds
+        finally:
+            if enabled:
+                gc.enable()
         assert {"layer_norm.<locals>.output", "affine.<locals>.rebuild",
-                "attention.<locals>.context"} <= kinds
+                "attention.<locals>.context", "_kept.<locals>.<lambda>"} <= set(kinds)
         assert ("attention.<locals>.probabilities" in kinds) == (limit == 0)
-        assert all(r.readers >= 1 for r in found)
+        assert all(r.builds <= 1 for r in rebuilds) and any(r.builds for r in rebuilds)
 
     def test_large_attentions_rebuild_q_k_v_and_p_once_each(self, monkeypatch, rebuilds):
         """At the paper default, 16 windows give the social branch's four
         self-attentions 1 MiB probabilities.  One step rebuilds each of
         their q, k, v and p once, shared by the context rebuild and the
-        vjp; every rebuild ends with no reader left and no array held;
-        the loss and every gradient keep the bytes of the kept path."""
-        operands, reread = [], T._reread
-        monkeypatch.setattr(T, "_reread", lambda a: operands.append(reread(a)) or operands[-1])
+        vjp; every rebuild dies with the tape; the loss and every gradient
+        keep the bytes of the kept path."""
+        operands, attention = [], T.attention
+
+        def recording_attention(*args):
+            out = attention(*args)
+            reads = closure(out._node.vjp)
+            if hasattr(reads["pr"], "cache_info"):  # the probabilities are rebuilt
+                operands.extend(rebuilds.of(reads[name]) for name in ("qr", "kr", "vr"))
+            return out
+
+        monkeypatch.setattr(T, "attention", recording_attention)
         samples = [make_sample(seed=s, t_h=8, t_f=12, n_neighbors=1) for s in range(60, 76)]
 
         def step():
@@ -545,7 +573,7 @@ class TestLossGraph:
         probs = [r for r in rebuilds if r.kind == "attention.<locals>.probabilities"]
         assert [r.builds for r in probs] == [1] * 4
         assert [r.builds for r in operands] == [1] * 12  # q, k and v of each
-        assert all(r.builds <= 1 and r.readers == 0 and r.array is None for r in rebuilds)
+        assert all(r.builds <= 1 for r in rebuilds) and not any(r.alive() for r in rebuilds)
         monkeypatch.setattr(T, "_ATTENTION_REBUILD_BYTES", np.inf)
         assert step() == rebuilt
 
@@ -556,7 +584,7 @@ class TestLossGraph:
         forward, backward = [], []
         make = T._make
 
-        def recording_make(data, parents, vjp, remat=None, sources=()):
+        def recording_make(data, parents, vjp, remat=None):
             def recording_vjp(g):
                 grads = vjp(g)
                 backward.extend(np.shape(x) for x in grads if x is not None)
@@ -568,7 +596,7 @@ class TestLossGraph:
                 return out
 
             forward.append(np.shape(data))
-            return make(data, parents, recording_vjp, remat and recording_remat, sources)
+            return make(data, parents, recording_vjp, remat and recording_remat)
 
         monkeypatch.setattr(T, "_make", recording_make)
         cfg = toy_config()
