@@ -14,8 +14,8 @@ whole stack of one branch's kernels at once; a chunk of predictions
 becomes one (N, C, T_f) values array and one (N, C, T_f) degenerate
 array, whose C rows one label table of (kind, partition, generation,
 t_p) describes for every window (:func:`curve_labels`).  Exports
-predict ``PREDICT_CHUNK`` windows at a time and stream the CSV one
-window at a time; the dataset mean is a running sum over windows.
+predict ``PREDICT_CHUNK`` (64) windows at a time, one forward each, and
+stream the CSV one window at a time; the mean is a running sum.
 
 Steps and partitions are reported 1-based; future steps are absolute
 (T_h+1 .. T_h+T_f), matching the row indices of the kernels, which for

@@ -28,9 +28,10 @@ as one ego-neighbor pair, moves each stack into the ego frames with one
 subtraction, and runs the linear fit, the transforms and the
 partitioning once on each stack; ``forward`` runs both branches on the
 whole batch and reports each branch's kernels and delta in its ``info``
-dict; ``predict`` adds the offsets back once for the batch and hands
-each sample views of the batch arrays.  A single sample is a batch of
-one.  The social branch stores one row block per pair (the neighbor's
+dict; ``predict`` encodes its samples once, runs ``forward`` on
+``PREDICT_CHUNK``-window slices of them and hands each sample views of
+its slice's world-frame arrays.  A single sample is a batch of one.
+The social branch stores one row block per pair (the neighbor's
 own-frame spectrum) and reads the pair's ego side from ``spec_x``.
 
 Branch and kernel toggles reproduce the ablation grid.  A disabled
@@ -58,8 +59,8 @@ from .nn.transformer import EncoderDecoder
 from .social import SocialEncoder
 
 _SQRT_EPS = 1e-12
-# Windows per ``predict`` call when a report runs over a whole split.
-PREDICT_CHUNK = 256
+# Windows per no-tape ``forward`` in ``predict`` and per report chunk.
+PREDICT_CHUNK = 64
 
 
 @dataclass
@@ -166,6 +167,16 @@ class EncodedBatch:
     @property
     def size(self) -> int:
         return self.spec_x.shape[0]
+
+    def rows(self, lo: int, hi: int) -> "EncodedBatch":
+        """Samples ``lo:hi`` and their pairs, as views (``subset`` copies)."""
+        out = EncodedBatch(self.spec_x[lo:hi], self.spec_lin[lo:hi], self.spec_res[lo:hi],
+                           self.y_lin[lo:hi], self.gt[lo:hi], self.offsets[lo:hi])
+        if self.nbr_spec is not None:
+            p0, p1 = np.searchsorted(self.pair_sample, (lo, hi))
+            out.nbr_spec, out.pair_rows = self.nbr_spec[p0:p1], self.pair_rows[p0:p1]
+            out.pair_sample = self.pair_sample[p0:p1] - lo
+        return out
 
     def subset(self, indices) -> "EncodedBatch":
         idx = np.asarray(indices, dtype=np.int64)
@@ -482,9 +493,13 @@ class ReverbPredictor:
     def predict(self, samples, rng=None, noise: dict | None = None) -> list:
         """World-frame hypotheses per sample; zero noise when rng is None.
 
-        Each sample's arrays are views of the batch's: its rows of the
-        world-frame forecasts and of the kernels the branches used.  No
-        samples give ``[]``.
+        Encodes once and draws the noise once, then runs the no-tape
+        ``forward`` on ``PREDICT_CHUNK``-window slices, so one slice sets the
+        peak (a 256-window paper-default forward holds a 32 MiB hidden
+        layer; 64 was the fastest slice).  Each sample's arrays are views of
+        its slice's.  A forecast may differ in the last bits from one made
+        in a slice of another size; reruns give the same bytes.  No samples
+        give ``[]``.
         """
         samples = list(samples)
         if not samples:
@@ -492,27 +507,31 @@ class ReverbPredictor:
         if noise is None:
             noise = self.draw_noise(rng) if rng is not None else self.zero_noise()
         batch = self.encode(samples)
-        with T.no_grad():
-            pred, info = self.forward(batch, noise)
-        values = pred.data + batch.offsets[:, None, None, :]
-        y_lin = batch.y_lin + batch.offsets[:, None, :]
-        return [
-            PredictionBatch(
-                values=values[b],
-                y_lin=y_lin[b],
-                kernels_non=self._pair(info, "non", b),
-                kernels_soc=self._pair(info, "soc", b),
-                scene_id=s.scene_id,
-                agent_id=s.agent_id,
-                start_frame=s.start_frame,
-            )
-            for b, s in enumerate(samples)
-        ]
+        out = []
+        for lo in range(0, batch.size, PREDICT_CHUNK):
+            part = batch.rows(lo, lo + PREDICT_CHUNK)
+            with T.no_grad():
+                pred, info = self.forward(part, noise)
+            values = pred.data + part.offsets[:, None, None, :]
+            y_lin = part.y_lin + part.offsets[:, None, :]
+            out += [
+                PredictionBatch(
+                    values=values[b],
+                    y_lin=y_lin[b],
+                    kernels_non=self._pair(info, "non", b),
+                    kernels_soc=self._pair(info, "soc", b),
+                    scene_id=s.scene_id,
+                    agent_id=s.agent_id,
+                    start_frame=s.start_frame,
+                )
+                for b, s in enumerate(samples[lo:lo + part.size])
+            ]
+        return out
 
     def predict_chunks(self, samples):
-        """``predict`` over consecutive ``PREDICT_CHUNK``-window slices of
-        ``samples``, yielding one slice's predictions at a time, so a
-        report over a split holds one chunk's arrays, not the split's."""
+        """``predict``, one forward each, over consecutive ``PREDICT_CHUNK``-
+        window slices of ``samples`` (zero noise), yielding one slice's
+        predictions at a time: a report holds one slice's arrays, not the split's."""
         for start in range(0, len(samples), PREDICT_CHUNK):
             yield self.predict(samples[start:start + PREDICT_CHUNK])
 

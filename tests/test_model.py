@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import inspect
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -10,7 +11,8 @@ import pytest
 import oracles
 import reverb.model
 from reverb import transforms
-from reverb.data import Sample, inject_manual_neighbor, preprocess
+from reverb.data import (Sample, SynthLatencySpec, inject_manual_neighbor, make_windows,
+                         preprocess, synth_latency_scenes)
 from reverb.errors import ConfigError, ShapeError
 from reverb.linear import linear_fit
 from reverb.metrics import min_ade_fde
@@ -914,3 +916,136 @@ class TestParameterStorePin:
         assert _sha256(["\n".join(names).encode()]) == names_sha
         arrays = model.store.state_arrays()
         assert _sha256(a.tobytes() for a in arrays.values()) == weights_sha
+
+
+# The criterion-7 model shape, as ``perfbench/workloads.py`` uses it.
+SMALL_MODEL = dict(t_h=8, t_f=12, d=32, k_g=8, n_theta=4, tf_layers=1, tf_heads=4)
+
+
+def latency_windows(n_scenes, seed, n_agents=2, n_frames=20):
+    """The 8 -> 12 windows of ``perfbench/workloads.py``'s ``latency_corpus``."""
+    spec = SynthLatencySpec(n_scenes=n_scenes, n_agents=n_agents, n_frames=n_frames, t_e=8,
+                            deltas=(0, 1, 2, 3), duration=4, sigma=0.05, seed=seed)
+    scenes, _ = synth_latency_scenes(spec)
+    return [w for scene in scenes for w in make_windows(scene, 8, 12)]
+
+
+class TestPredictSlices:
+    """``predict`` encodes its samples once and runs the no-tape forward
+    on ``PREDICT_CHUNK``-window slices of that batch.  At the criterion-7
+    shape the slices give the bytes of one forward over the whole batch."""
+
+    N = 2 * reverb.model.PREDICT_CHUNK + 5
+
+    @classmethod
+    def samples(cls):
+        out = latency_windows(-(-cls.N // 40), 3, n_agents=8, n_frames=24)[:cls.N]
+        assert len(out) == cls.N and all(len(s.neighbors) == 7 for s in out)
+        return out
+
+    @staticmethod
+    def assert_one_forward(model, samples, noise=None):
+        """``predict``'s values, ``y_lin``, kernels and sample order equal
+        one ``no_grad`` forward over the whole encoded batch, byte for byte."""
+        preds = model.predict(samples, noise=noise)
+        batch = model.encode(samples)
+        with T.no_grad():
+            pred, info = model.forward(batch, model.zero_noise() if noise is None else noise)
+        assert [(p.scene_id, p.agent_id, p.start_frame) for p in preds] == [
+            (s.scene_id, s.agent_id, s.start_frame) for s in samples]
+        got = np.stack([p.values for p in preds])
+        assert got.tobytes() == (pred.data + batch.offsets[:, None, None, :]).tobytes()
+        got = np.stack([p.y_lin for p in preds])
+        assert got.tobytes() == (batch.y_lin + batch.offsets[:, None, :]).tobytes()
+        for branch in ("non", "soc"):
+            for k in ("r", "g"):
+                full = info[f"{k}_{branch}"].data
+                want = full if full.shape[0] > 1 else np.broadcast_to(full, (len(samples),)
+                                                                      + full.shape[1:])
+                got = np.stack([getattr(getattr(p, f"kernels_{branch}"), k) for p in preds])
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_slices_give_the_bytes_of_one_forward(self, monkeypatch):
+        model = ReverbPredictor(ModelConfig(**SMALL_MODEL), seed=1)
+        sizes, forward = [], model.forward
+        monkeypatch.setattr(model, "forward",
+                            lambda batch, noise: sizes.append(batch.size) or forward(batch, noise))
+        # ``subset`` cuts training batches; perfbench's step clock opens a step there.
+        monkeypatch.setattr(reverb.model.EncodedBatch, "subset",
+                            lambda *args: pytest.fail("predict cut its batch with subset"))
+        samples = self.samples()
+        model.predict(samples)
+        chunk = reverb.model.PREDICT_CHUNK
+        assert sizes == [chunk, chunk, 5]
+        monkeypatch.undo()
+        self.assert_one_forward(model, samples)
+
+    def test_a_slice_without_neighbours(self):
+        """The middle slice has P = 0; the others keep their pairs."""
+        chunk = reverb.model.PREDICT_CHUNK
+        samples = self.samples()
+        samples[chunk:2 * chunk] = [replace(s, neighbors=()) for s in samples[chunk:2 * chunk]]
+        model = ReverbPredictor(ModelConfig(**SMALL_MODEL), seed=1)
+        assert model.encode(samples[chunk:2 * chunk]).pair_sample.shape == (0,)
+        self.assert_one_forward(model, samples)
+
+    def test_static_g_is_one_broadcast_row(self):
+        model = ReverbPredictor(ModelConfig(kernel_g=False, **SMALL_MODEL), seed=1)
+        samples = self.samples()
+        preds = model.predict(samples)
+        assert all(p.kernels_soc.g.shape == (model.config.soc_rows, model.config.k_g)
+                   for p in preds)
+        self.assert_one_forward(model, samples)
+
+    def test_noise_is_drawn_once_per_call(self):
+        model = ReverbPredictor(ModelConfig(**SMALL_MODEL), seed=1)
+        samples = self.samples()
+        noise = model.draw_noise(np.random.default_rng(7))
+        self.assert_one_forward(model, samples, noise)
+        drawn = model.predict(samples, rng=np.random.default_rng(7))
+        given = model.predict(samples, noise=noise)
+        assert np.stack([p.values for p in drawn]).tobytes() == np.stack(
+            [p.values for p in given]).tobytes()
+
+    # One forward over a 256-window chunk peaked at 12.8 MiB; 64-window
+    # slices peak at 5.0 MiB (tracemalloc, the forecasts included).
+    MAX_PEAK_MIB = 8.0
+
+    def test_peak_of_a_predict_crowd_chunk(self):
+        """A ``predict_crowd`` chunk: 256 windows cut from 8-agent scenes."""
+        chunk = latency_windows(8, 1, n_agents=8, n_frames=24)[:256]
+        assert len(chunk) == 256
+        model = ReverbPredictor(ModelConfig(**SMALL_MODEL), seed=1)
+        model.predict(chunk[:1])
+        tracemalloc.start()
+        try:
+            model.predict(chunk)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.MAX_PEAK_MIB, peak
+
+
+class TestStepBytesPin:
+    """sha256 (first 16 hex digits) of the loss and then every gradient in
+    store order, after one loss and backward on latency-corpus windows
+    (corpus seed 1) at model seed 1.  ``drawn`` noise is one draw of
+    ``default_rng(1)``, as perfbench's ``train_paper`` step draws it."""
+
+    @pytest.mark.parametrize("shape,windows,noise,digest", [
+        ("paper", 60, "drawn", "cd9339e2153bcb2e"),
+        ("paper", 60, "zero", "0f12c13627ab3e8c"),
+        ("small", 26, "drawn", "15928fc5c50a53db"),
+        ("small", 26, "zero", "33ca8c69ba93fe57"),
+    ])
+    def test_one_step(self, shape, windows, noise, digest):
+        cfg = ModelConfig() if shape == "paper" else ModelConfig(**SMALL_MODEL)
+        model = ReverbPredictor(cfg, seed=1)
+        batch = model.encode(latency_windows(windows // 2, 1))
+        assert batch.size == windows
+        z = model.draw_noise(np.random.default_rng(1)) if noise == "drawn" else model.zero_noise()
+        model.store.zero_grad()
+        loss, _, _ = model.loss(batch, z)
+        T.backward(loss)
+        grads = (model.store[name].grad.tobytes() for name in model.store.names())
+        assert _sha256([loss.data.tobytes(), *grads])[:16] == digest
