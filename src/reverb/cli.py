@@ -27,7 +27,7 @@ from .config import (
     model_hash,
     resolve_output_dir,
 )
-from .curves import export_curves
+from .curves import check_generations, export_curves
 from .data import (
     SynthLatencySpec,
     inject_manual_neighbor,
@@ -208,14 +208,9 @@ def cmd_train(args) -> int:
 
 
 def _select_rows(values: np.ndarray, k: int, sample: bool, rng) -> np.ndarray:
-    k_g = values.shape[0]
     if not sample:
-        if k > k_g:
-            raise ConfigError(
-                f"k={k} exceeds K_g={k_g}; pass --sample to draw with replacement"
-            )
         return values[:k]
-    return values[rng.integers(0, k_g, size=k)]
+    return values[rng.integers(0, values.shape[0], size=k)]
 
 
 def _evaluate(model: ReverbPredictor, samples, k: int, sample: bool, seed: int):
@@ -260,12 +255,15 @@ def _evaluate(model: ReverbPredictor, samples, k: int, sample: bool, seed: int):
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
-    model, _, meta = load_model(args.checkpoint, cfg)
-    split = args.split or cfg.eval_split
-    samples = _samples_from_manifest(cfg, split, args.window_stride)
     k = args.k if args.k is not None else cfg.model.k_g
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if k > cfg.model.k_g and not args.sample:
+        raise ConfigError(
+            f"k={k} exceeds K_g={cfg.model.k_g}; pass --sample to draw with replacement")
+    model, _, meta = load_model(args.checkpoint, cfg)
+    split = args.split or cfg.eval_split
+    samples = _samples_from_manifest(cfg, split, args.window_stride)
     report = {
         "config_hash": config_hash(cfg),
         "model_hash": model_hash(cfg.model),
@@ -289,6 +287,7 @@ def cmd_curves(args) -> int:
     cfg = load_config(args.config, args.set)
     out_dir = resolve_output_dir(cfg, args.out_dir)
     generations = _int_list("--generations", args.generations) if args.generations else None
+    check_generations(generations or (), cfg.model.k_g)
     model, _, _ = load_model(args.checkpoint, cfg)
     if args.scene:
         scene = load_scene(args.scene, dt=cfg.model.dt)
@@ -456,6 +455,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "window_stride", 1) < 1:  # before any file is read
+            raise ConfigError(f"window stride must be >= 1, got {args.window_stride}")
         # a numeric fault exits 3 as a NumericError, not as numpy warnings
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -13,9 +13,10 @@ Curves are arrays, never objects.  :func:`branch_curves` normalizes a
 whole stack of one branch's kernels at once; a chunk of predictions
 becomes one (N, C, T_f) values array and one (N, C, T_f) degenerate
 array, whose C rows one label table of (kind, partition, generation,
-t_p) describes for every window (:func:`curve_labels`).  Exports
-predict ``PREDICT_CHUNK`` (64) windows at a time, one forward each, and
-stream the CSV one window at a time; the mean is a running sum.
+t_p) describes for every window (:func:`curve_labels`).  Exports take
+``predict_chunks``' slices of ``PREDICT_CHUNK`` (64) windows, each
+encoded and run through one forward on its own, and stream the CSV one
+window at a time; the mean is a running sum.
 
 Steps and partitions are reported 1-based; future steps are absolute
 (T_h+1 .. T_h+T_f), matching the row indices of the kernels, which for
@@ -44,7 +45,7 @@ def _normalized_square_columns(weights: np.ndarray):
     return values, degenerate
 
 
-def _check_generations(generations, k_g: int) -> list:
+def check_generations(generations, k_g: int) -> list:
     for k in generations:
         if not 1 <= k <= k_g:
             raise ShapeError(f"generation {k} outside 1..{k_g}")
@@ -53,7 +54,7 @@ def _check_generations(generations, k_g: int) -> list:
 
 def _generations(generations, k_g: int) -> list:
     """The 1-based generation ids to report (default all of 1..K_g)."""
-    return _check_generations(generations or range(1, k_g + 1), k_g)
+    return check_generations(generations or range(1, k_g + 1), k_g)
 
 
 def branch_curves(r, g=None, generations=(), partitions: int = 1):
@@ -76,7 +77,7 @@ def branch_curves(r, g=None, generations=(), partitions: int = 1):
         raise ShapeError(f"R rows {rows} != G rows {g.shape[-2]}")
     if partitions < 1 or rows % partitions:
         raise ShapeError(f"{rows} rows do not split into {partitions} partitions")
-    cols = [k - 1 for k in _check_generations(generations, g.shape[-1])]
+    cols = [k - 1 for k in check_generations(generations, g.shape[-1])]
     t_h = rows // partitions
     lead = g.shape[:-2]
     picked = np.moveaxis(g[..., cols].reshape(*lead, partitions, t_h, len(cols)), -1, -2)

@@ -28,9 +28,10 @@ as one ego-neighbor pair, moves each stack into the ego frames with one
 subtraction, and runs the linear fit, the transforms and the
 partitioning once on each stack; ``forward`` runs both branches on the
 whole batch and reports each branch's kernels and delta in its ``info``
-dict; ``predict`` encodes its samples once, runs ``forward`` on
-``PREDICT_CHUNK``-window slices of them and hands each sample views of
-its slice's world-frame arrays.  A single sample is a batch of one.
+dict; ``predict_chunks`` encodes and runs ``forward`` on each
+``PREDICT_CHUNK``-window slice of its samples in turn and hands each
+sample views of its slice's world-frame arrays, and ``predict`` is that
+loop flattened.  A single sample is a batch of one.
 The social branch stores one row block per pair (the neighbor's
 own-frame spectrum) and reads the pair's ego side from ``spec_x``.
 
@@ -59,7 +60,7 @@ from .nn.transformer import EncoderDecoder
 from .social import SocialEncoder
 
 _SQRT_EPS = 1e-12
-# Windows per no-tape ``forward`` in ``predict`` and per report chunk.
+# Windows per no-tape ``forward`` in ``predict_chunks``.
 PREDICT_CHUNK = 64
 
 
@@ -167,16 +168,6 @@ class EncodedBatch:
     @property
     def size(self) -> int:
         return self.spec_x.shape[0]
-
-    def rows(self, lo: int, hi: int) -> "EncodedBatch":
-        """Samples ``lo:hi`` and their pairs, as views (``subset`` copies)."""
-        out = EncodedBatch(self.spec_x[lo:hi], self.spec_lin[lo:hi], self.spec_res[lo:hi],
-                           self.y_lin[lo:hi], self.gt[lo:hi], self.offsets[lo:hi])
-        if self.nbr_spec is not None:
-            p0, p1 = np.searchsorted(self.pair_sample, (lo, hi))
-            out.nbr_spec, out.pair_rows = self.nbr_spec[p0:p1], self.pair_rows[p0:p1]
-            out.pair_sample = self.pair_sample[p0:p1] - lo
-        return out
 
     def subset(self, indices) -> "EncodedBatch":
         idx = np.asarray(indices, dtype=np.int64)
@@ -491,30 +482,29 @@ class ReverbPredictor:
     # Inference-facing wrappers
 
     def predict(self, samples, rng=None, noise: dict | None = None) -> list:
-        """World-frame hypotheses per sample; zero noise when rng is None.
-
-        Encodes once and draws the noise once, then runs the no-tape
-        ``forward`` on ``PREDICT_CHUNK``-window slices, so one slice sets the
-        peak (a 256-window paper-default forward holds a 32 MiB hidden
-        layer; 64 was the fastest slice).  Each sample's arrays are views of
-        its slice's.  A forecast may differ in the last bits from one made
-        in a slice of another size; reruns give the same bytes.  No samples
-        give ``[]``.
-        """
+        """World-frame hypotheses per sample, ``predict_chunks`` flattened;
+        one noise draw per call when rng is given (none for no samples)."""
         samples = list(samples)
-        if not samples:
-            return []
-        if noise is None:
-            noise = self.draw_noise(rng) if rng is not None else self.zero_noise()
-        batch = self.encode(samples)
-        out = []
-        for lo in range(0, batch.size, PREDICT_CHUNK):
-            part = batch.rows(lo, lo + PREDICT_CHUNK)
+        if samples and noise is None and rng is not None:
+            noise = self.draw_noise(rng)
+        return [p for chunk in self.predict_chunks(samples, noise) for p in chunk]
+
+    def predict_chunks(self, samples, noise: dict | None = None):
+        """Each consecutive ``PREDICT_CHUNK``-window slice's predictions, zero
+        noise when ``noise`` is None.  A slice is encoded on its own and runs
+        one no-tape ``forward``, so one slice sets the peak (a 256-window
+        paper-default forward holds a 32 MiB hidden layer; 64 was the
+        fastest slice).  A forecast may differ in the last bits from one made
+        in a slice of another size; reruns give the same bytes."""
+        noise = self.zero_noise() if noise is None else noise
+        for lo in range(0, len(samples), PREDICT_CHUNK):
+            part = samples[lo:lo + PREDICT_CHUNK]
+            batch = self.encode(part)
             with T.no_grad():
-                pred, info = self.forward(part, noise)
-            values = pred.data + part.offsets[:, None, None, :]
-            y_lin = part.y_lin + part.offsets[:, None, :]
-            out += [
+                pred, info = self.forward(batch, noise)
+            values = pred.data + batch.offsets[:, None, None, :]
+            y_lin = batch.y_lin + batch.offsets[:, None, :]
+            yield [
                 PredictionBatch(
                     values=values[b],
                     y_lin=y_lin[b],
@@ -524,16 +514,8 @@ class ReverbPredictor:
                     agent_id=s.agent_id,
                     start_frame=s.start_frame,
                 )
-                for b, s in enumerate(samples[lo:lo + part.size])
+                for b, s in enumerate(part)
             ]
-        return out
-
-    def predict_chunks(self, samples):
-        """``predict``, one forward each, over consecutive ``PREDICT_CHUNK``-
-        window slices of ``samples`` (zero noise), yielding one slice's
-        predictions at a time: a report holds one slice's arrays, not the split's."""
-        for start in range(0, len(samples), PREDICT_CHUNK):
-            yield self.predict(samples[start:start + PREDICT_CHUNK])
 
     def _pair(self, info: dict, branch: str, b: int):
         """Sample ``b``'s kernels; R has a batch axis, static G one entry."""

@@ -382,10 +382,17 @@ def test_eval_first_k_protocol(trained, tmp_path):
     assert one["metrics"]["minADE"] >= json.loads(full.read_text())["metrics"]["minADE"] - 1e-12
 
 
-def test_eval_oversized_k_needs_sample_flag(trained, tmp_path):
+def test_eval_oversized_k_needs_sample_flag(trained, tmp_path, capsys):
+    # ``--k`` is checked before the checkpoint is read: the second does not exist
+    for ckpt in (trained["ckpt"], str(tmp_path / "missing.bin")):
+        for k, line in (("5", "k=5 exceeds K_g=2; pass --sample to draw with replacement"),
+                        ("0", "k must be >= 1, got 0")):
+            capsys.readouterr()
+            assert run(["eval", "--config", trained["ini"], "--checkpoint", ckpt,
+                        "--k", k, "--report", str(tmp_path / "e.json")]) == 1
+            assert capsys.readouterr().err == f"reverb: config error: {line}\n"
     args = ["eval", "--config", trained["ini"], "--checkpoint",
             trained["ckpt"], "--k", "5", "--report", str(tmp_path / "e.json")]
-    assert run(args) == 1
     assert run(args + ["--sample"]) == 0
     report = json.loads((tmp_path / "e.json").read_text())
     assert report["k"] == 5 and report["sampled"]
@@ -503,12 +510,14 @@ class TestReportPins:
 
 @pytest.mark.parametrize("k", ["0", "3"])
 def test_curves_generation_out_of_range_is_usage_error(trained, tmp_path, capsys, k):
-    capsys.readouterr()
-    assert run(["curves", "--config", trained["ini"], "--checkpoint",
-                trained["ckpt"], "--generations", k,
-                "--csv", str(tmp_path / "c.csv")]) == 1
-    assert f"generation {k} outside 1..2" in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
+    # checked before the checkpoint is read: the second does not exist
+    for ckpt in (trained["ckpt"], str(tmp_path / "missing.bin")):
+        capsys.readouterr()
+        assert run(["curves", "--config", trained["ini"], "--checkpoint",
+                    ckpt, "--generations", k,
+                    "--csv", str(tmp_path / "c.csv")]) == 1
+        assert f"generation {k} outside 1..2" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
 
 def test_curves_agent_filter(trained, tmp_path):
@@ -615,6 +624,20 @@ def test_ablate_negative_seed_is_usage_error_before_training(tmp_path, capsys):
                 "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "reverb: config error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "ablate").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "curves", "ablate"])
+def test_window_stride_below_one_is_usage_error_before_any_file_is_read(
+        tmp_path, capsys, command):
+    # neither the manifest nor the checkpoint exists
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[data]\nmanifest = {tmp_path / 'missing.txt'}\n")
+    ckpt = ["--checkpoint", str(tmp_path / "missing.bin")] if command in ("eval", "curves") else []
+    assert run([command, "--config", str(ini), "--window-stride", "0",
+                "--out-dir", str(tmp_path / "out")] + ckpt) == 1
+    assert capsys.readouterr().err == (
+        "reverb: config error: window stride must be >= 1, got 0\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_gradcheck_passes_at_default_tolerance(capsys):

@@ -3,7 +3,7 @@ import hashlib
 import inspect
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -682,17 +682,26 @@ class TestBatching:
             assert (got.shape, got.tobytes()) == (value.shape, value.tobytes()), name
 
     def test_subset_matches_fresh_encode(self):
-        model = ReverbPredictor(toy_config(), seed=36)
-        samples = [make_sample(seed=70 + i, n_neighbors=i % 3) for i in range(4)]
-        batch = model.encode(samples)
-        sub = batch.subset([2, 0])
-        fresh = model.encode([samples[2], samples[0]])
-        noise = model.zero_noise()
-        with T.no_grad():
-            a, _ = model.forward(sub, noise)
-            b, _ = model.forward(fresh, noise)
-        np.testing.assert_allclose(a.data, b.data, atol=1e-9)
-        np.testing.assert_array_equal(sub.gt, fresh.gt)
+        """``encode`` works window by window: the rows of a batch, picked
+        by ``subset``, are the bytes of encoding those samples alone, in
+        every field.  ``predict_chunks`` encodes each slice on its own and
+        relies on this."""
+        samples = [make_sample(seed=70 + i, n_neighbors=i % 3) for i in range(6)]
+        samples[1] = preprocess(samples[1])
+        samples[4] = preprocess(replace(samples[4], neighbors=()))
+        # per-step partitions need time-local rows, which ``dft`` lacks
+        for kind, per_step in [("none", False), ("none", True), ("haar", False), ("haar", True),
+                               ("db2", False), ("db2", True), ("dft", False)]:
+            model = ReverbPredictor(
+                toy_config(transform=kind, per_step_partitions=per_step), seed=36)
+            batch = model.encode(samples)
+            for idx in ([2, 0], range(1, 5), [3, 4], [4]):
+                sub = batch.subset(idx)
+                fresh = model.encode([samples[i] for i in idx])
+                for f in fields(EncodedBatch):
+                    a, b = getattr(sub, f.name), getattr(fresh, f.name)
+                    assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), (
+                        kind, per_step, list(idx), f.name)
 
     def test_subset_with_repeated_index_keeps_neighbours_in_every_copy(self):
         model = ReverbPredictor(toy_config(), seed=36)
@@ -931,9 +940,10 @@ def latency_windows(n_scenes, seed, n_agents=2, n_frames=20):
 
 
 class TestPredictSlices:
-    """``predict`` encodes its samples once and runs the no-tape forward
-    on ``PREDICT_CHUNK``-window slices of that batch.  At the criterion-7
-    shape the slices give the bytes of one forward over the whole batch."""
+    """``predict`` flattens ``predict_chunks``, which encodes each
+    ``PREDICT_CHUNK``-window slice of the samples on its own and runs one
+    no-tape forward on it.  At the criterion-7 shape the slices give the
+    bytes of one forward over the whole encoded batch."""
 
     N = 2 * reverb.model.PREDICT_CHUNK + 5
 
@@ -968,15 +978,18 @@ class TestPredictSlices:
     def test_slices_give_the_bytes_of_one_forward(self, monkeypatch):
         model = ReverbPredictor(ModelConfig(**SMALL_MODEL), seed=1)
         sizes, forward = [], model.forward
+        encoded, encode = [], model.encode
         monkeypatch.setattr(model, "forward",
                             lambda batch, noise: sizes.append(batch.size) or forward(batch, noise))
+        monkeypatch.setattr(model, "encode",
+                            lambda part: encoded.append(len(part)) or encode(part))
         # ``subset`` cuts training batches; perfbench's step clock opens a step there.
         monkeypatch.setattr(reverb.model.EncodedBatch, "subset",
                             lambda *args: pytest.fail("predict cut its batch with subset"))
         samples = self.samples()
         model.predict(samples)
         chunk = reverb.model.PREDICT_CHUNK
-        assert sizes == [chunk, chunk, 5]
+        assert sizes == encoded == [chunk, chunk, 5]
         monkeypatch.undo()
         self.assert_one_forward(model, samples)
 
@@ -1007,8 +1020,18 @@ class TestPredictSlices:
         assert np.stack([p.values for p in drawn]).tobytes() == np.stack(
             [p.values for p in given]).tobytes()
 
+    def test_no_samples(self):
+        """No slice, no encode and no noise draw: ``rng`` is left as it was."""
+        model = ReverbPredictor(ModelConfig(**SMALL_MODEL), seed=1)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert model.predict([], rng=rng) == []
+        assert rng.bit_generator.state == state
+        assert list(model.predict_chunks([])) == []
+
     # One forward over a 256-window chunk peaked at 12.8 MiB; 64-window
-    # slices peak at 5.0 MiB (tracemalloc, the forecasts included).
+    # slices, each encoded on its own, peak at 4.5 MiB (tracemalloc, the
+    # forecasts included).
     MAX_PEAK_MIB = 8.0
 
     def test_peak_of_a_predict_crowd_chunk(self):
